@@ -120,14 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-infinite", help="certified infinite-horizon value")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=None,
                    help="also report the eps-relaxed stop region")
 
     p = sub.add_parser("oracle-check", help="compare solver against region enumeration")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("diagnose", help="ergodicity and zero-potential diagnostics")
     common(p, seed=True)
@@ -244,7 +242,7 @@ def _dispatch(args):
     if args.command == "solve-infinite":
         _require_rewards(mf)
         rewards = make_rewards(model, mf.f, mf.g)
-        sol = solve_infinite_horizon(model, rewards, tol=args.tol, delta=args.delta)
+        sol = solve_infinite_horizon(model, rewards, delta=args.delta)
         header = ["state", "w", "stop", "gamma", "Z", "expected_tau"]
         cols = [sol.w, sol.region, sol.gamma, sol.Z, sol.expected_tau]
         if args.eps is not None:
@@ -266,7 +264,7 @@ def _dispatch(args):
     if args.command == "oracle-check":
         _require_rewards(mf)
         rewards = make_rewards(model, mf.f, mf.g)
-        sol = solve_infinite_horizon(model, rewards, tol=args.tol)
+        sol = solve_infinite_horizon(model, rewards)
         oracle = brute_force_region_oracle(model, rewards)
         max_diff = float(np.max(np.abs(sol.w - oracle.w)))
         regions_match = bool((sol.region == oracle.minimal_time_region).all())

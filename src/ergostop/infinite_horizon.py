@@ -1,11 +1,12 @@
 """Undiscounted infinite-horizon stopping with a negative mean running reward.
 
-The value solves the fixed point  w = max(g, dt * f + P w)  and is reached by
-monotone value iteration from w = g (the horizon sweep). Convergence alone
-carries no certificate without discounting, so every solve closes the loop:
-extract the candidate stop region, evaluate its hitting rule exactly by a
-linear solve, and verify the evaluation is a Bellman fixed point. A certified
-value is exact up to the linear algebra, not asymptotics.
+The value solves the fixed point  w = max(g, dt * f + P w), and an optimal
+rule is the first entrance to a stop region. The solver searches regions by
+exact policy iteration: start from stopping everywhere, evaluate the hitting
+rule of the current region by a linear solve, shrink the region to where
+stopping still weakly beats one more step, and repeat until it no longer
+changes. The last evaluation is verified as a Bellman fixed point, so a
+certified value is exact up to the linear algebra, not asymptotics.
 
 Hitting rules that strand probability mass have value minus infinity (the
 mean running reward is negative, so unstopped mass pays linearly forever);
@@ -34,17 +35,16 @@ TIE_TOL = 1e-9
 CERT_TOL = 1e-9
 DRIFT_TOL = 1e-12
 DEFAULT_DELTA = 0.5
-MAX_VALUE_ITER = 100_000
-MAX_POLICY_ROUNDS = 100
 
 
 @dataclass
 class InfiniteHorizonSolution:
     """Certified value, stop region, and stopping-time bound data.
 
-    ``certified`` is set only when the exact policy evaluation of ``region``
-    reproduces the value as a Bellman fixed point; otherwise the fields hold
-    the best iterate and the flag is False, never silently.
+    ``w`` is the exact value of the hitting rule of ``region``, the region
+    at which policy iteration settled. ``certified`` is set only when that
+    value is a Bellman fixed point within CERT_TOL; otherwise the flag is
+    False, never silently. ``iterations`` counts policy-evaluation rounds.
 
     ``gamma``, ``d``, ``Z`` and ``expected_tau`` realize the explicit bound
     E^x[tau*] <= Z(x) = (gamma(x) + E[max g+] - g(x) + 1) / (-d(x)).
@@ -187,55 +187,36 @@ def expected_hitting_time(model: MarkovModel, region) -> np.ndarray:
 
 # -- certified solver ----------------------------------------------------------
 
-def _certified_solve(
-    kernel: np.ndarray,
-    dt: float,
-    run: np.ndarray,
-    term: np.ndarray,
-    tol: float,
-):
-    """Monotone value iteration followed by exact certification.
+def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.ndarray):
+    """Howard policy iteration over hitting rules, from stopping everywhere.
 
-    Returns (w, region, residual, certified, iterations). If the region
-    extracted from the iterate fails the fixed-point check, greedy policy
-    improvement rounds retry before conceding an uncertified result.
+    Each round evaluates the current stop region exactly and shrinks it to
+    the states where stopping still weakly beats one more step. On a chain
+    with one recurrent class and mu(run) <= 0 the values rise, stay finite,
+    and the region only shrinks, so it settles within n + 1 rounds; the last
+    evaluation is then a Bellman fixed point up to the tie tolerance, which
+    the returned residual certifies.
+
+    Returns (w, region, residual, certified, rounds).
     """
-    v = term.copy()
+    n = len(term)
     run_dt = dt * run
-    iterations = 0
-    for iterations in range(1, MAX_VALUE_ITER + 1):
-        nv = np.maximum(term, run_dt + kernel @ v)
-        delta = float(np.max(np.abs(nv - v)))
-        v = nv
-        if delta < tol:
-            break
-
-    region = term >= v - TIE_TOL
-    best = (v, region, np.inf, False)
-    for _ in range(MAX_POLICY_ROUNDS):
-        pv = _policy_value(kernel, dt, run, term, region)
-        if np.isfinite(pv).all():
-            bell = np.maximum(term, run_dt + kernel @ pv)
-            residual = float(np.max(np.abs(pv - bell)))
-            if residual <= CERT_TOL:
-                return pv, region, residual, True, iterations
-            if residual < best[2]:
-                best = (pv, region, residual, False)
-            improved = term + TIE_TOL >= run_dt + kernel @ pv
-        else:
-            # stranded mass: stopping dominates -inf continuation everywhere
-            improved = region | ~np.isfinite(pv)
+    region = np.ones(n, dtype=bool)
+    for rounds in range(1, n + 2):
+        v = _policy_value(kernel, dt, run, term, region)
+        cont = run_dt + kernel @ v
+        improved = term + TIE_TOL >= cont
         if (improved == region).all():
-            break
+            residual = float(np.max(np.abs(v - np.maximum(term, cont))))
+            return v, region, residual, residual <= CERT_TOL, rounds
         region = improved
-    w, region, residual, certified = best
-    return w, region, residual, certified, iterations
+    else:
+        raise ArithmeticError(f"policy iteration did not settle within {n + 1} rounds")
 
 
 def solve_infinite_horizon(
     model: MarkovModel,
     rewards: RewardSpec,
-    tol: float = 1e-10,
     delta: float = DEFAULT_DELTA,
     d=None,
 ) -> InfiniteHorizonSolution:
@@ -253,7 +234,7 @@ def solve_infinite_horizon(
             f"mu(f) = {rewards.mu_f} >= 0; undiscounted value may be infinite"
         )
     w, region, residual, certified, iterations = _certified_solve(
-        model.kernel, model.dt, rewards.f, rewards.g, tol
+        model.kernel, model.dt, rewards.f, rewards.g
     )
     d_vec = _resolve_d(model, rewards, delta, d)
     gamma = gamma_value(model, rewards.f, d_vec)
@@ -324,7 +305,7 @@ def gamma_value(model: MarkovModel, f, d) -> np.ndarray:
                 f"mu(f - d) = {mu_f - c} > 0: auxiliary value is infinite"
             )
         vals, _, residual, certified, _ = _certified_solve(
-            model.kernel, model.dt, fv - c, zero_term, 1e-12
+            model.kernel, model.dt, fv - c, zero_term
         )
         if not certified:
             raise ArithmeticError(
@@ -411,9 +392,7 @@ def check_condition_S(
         raise DriftNotNegative(f"mu(f) = {rewards.mu_f} >= 0")
     q = np.asarray(zero_potential.q if hasattr(zero_potential, "q") else zero_potential)
     run = np.full(model.n_states, (1.0 - delta) * rewards.mu_f)
-    bar, _, residual, certified, _ = _certified_solve(
-        model.kernel, model.dt, run, -q, 1e-12
-    )
+    bar, _, residual, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
     if not certified:
         raise ArithmeticError(
             f"bar-gamma solve failed certification (residual {residual:.2e})"

@@ -149,7 +149,7 @@ def test_criterion_5_supermartingale_residuals():
         assert rep.max_continuation_gap <= 1e-10
         worst_fh = max(worst_fh, rep.max_residual)
         worst_cont = max(worst_cont, rep.max_continuation_gap)
-        sol = solve_infinite_horizon(model, rewards, tol=1e-12)
+        sol = solve_infinite_horizon(model, rewards)
         assert sol.certified
         resid = model.dt * rewards.f + model.kernel @ sol.w - sol.w
         assert resid.max() <= 1e-10
@@ -168,7 +168,7 @@ def test_criterion_6_infinite_horizon_optimality():
     count = 0
     worst = 0.0
     for model, rewards, _ in _corpus(606, 105, 8):
-        sol = solve_infinite_horizon(model, rewards, tol=1e-12)
+        sol = solve_infinite_horizon(model, rewards)
         assert sol.certified
         oracle = brute_force_region_oracle(model, rewards)
         diff = float(np.max(np.abs(sol.w - oracle.w)))
@@ -188,7 +188,7 @@ def test_criterion_6_infinite_horizon_optimality():
 def test_criterion_7_stopping_time_bound():
     count = 0
     for model, rewards, _ in _corpus(707, 60, 8):
-        sol = solve_infinite_horizon(model, rewards, tol=1e-12)
+        sol = solve_infinite_horizon(model, rewards)
         for delta in (0.25, 0.5, 1.0):
             rep = stopping_time_bound(model, rewards, sol, delta * rewards.mu_f)
             assert (rep.expected_tau <= rep.Z + 1e-9).all()
@@ -208,7 +208,7 @@ def test_criterion_8_grid_refinement():
     for dt in (0.4, 0.2, 0.1, 0.05):
         model = chain_b_from_generator(dt)
         rewards = make_rewards(model, CHAIN_B_F, CHAIN_B_G)
-        sol = solve_infinite_horizon(model, rewards, tol=1e-12)
+        sol = solve_infinite_horizon(model, rewards)
         assert sol.certified
         values[dt] = sol.w
     diffs = [
@@ -293,7 +293,7 @@ def test_criterion_11_monte_carlo_functional():
         coords=CHAIN_B_COORDS,
     )
     rewards_b = make_rewards(model_b, CHAIN_B_F, CHAIN_B_G)
-    sol_b = solve_infinite_horizon(model_b, rewards_b, tol=1e-12)
+    sol_b = solve_infinite_horizon(model_b, rewards_b)
     est_b = estimate_functional(
         model_b, rewards_b, sol_b.region, start=0, horizons=[32, 64, 128, 256],
         n_paths=20_000, seed=1113,

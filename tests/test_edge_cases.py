@@ -14,10 +14,10 @@ from ergostop.errors import DriftNotNegative
 
 
 def test_periodic_irreducible_chain_still_certifies():
-    # two-cycle: value iteration stays monotone and certification is exact
+    # two-cycle: policy iteration needs no aperiodicity; certification is exact
     m = build_dtmc([0, 1], [[0.0, 1.0], [1.0, 0.0]])
     rw = make_rewards(m, [1.0, -3.0], [0.0, 4.0])
-    sol = solve_infinite_horizon(m, rw, tol=1e-12)
+    sol = solve_infinite_horizon(m, rw)
     assert sol.certified
     oracle = brute_force_region_oracle(m, rw)
     np.testing.assert_allclose(sol.w, oracle.w, atol=1e-10)

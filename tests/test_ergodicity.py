@@ -146,6 +146,19 @@ def test_dynkin_cap_zero_is_exact(chain_a, chain_a_mu):
     assert rep.verdict == "PASS"
 
 
+def test_dynkin_start_in_region_is_exact(chain_a, chain_a_mu):
+    # tau = 0 on every path; the sample mean of 1000 copies of q[1] is an
+    # ulp off q[1] at a spread of ~1e-17, which once read as z = -31.6
+    zp = zero_potential(chain_a, CHAIN_A_F, chain_a_mu)
+    rep = verify_dynkin_identity(
+        chain_a, zp, CHAIN_A_F, chain_a_mu, [1], cap_steps=5, start=1,
+        n_paths=1000, seed=0,
+    )
+    assert rep.z_score == 0.0 and rep.std_error == 0.0
+    assert rep.estimate == rep.reference == zp.q[1]
+    assert rep.verdict == "PASS"
+
+
 def test_dynkin_constant_f_exact(chain_a, chain_a_mu):
     zp = zero_potential(chain_a, np.array([1.0, 1.0]), chain_a_mu)
     rep = verify_dynkin_identity(

@@ -112,15 +112,44 @@ def test_certified_matches_oracle_on_corpus():
     for _ in range(40):
         m = random_chain(rng, int(rng.integers(2, 9)))
         rw = random_rewards(m, rng)
-        sol = solve_infinite_horizon(m, rw, tol=1e-12)
+        sol = solve_infinite_horizon(m, rw)
         assert sol.certified
         oracle = brute_force_region_oracle(m, rw)
         np.testing.assert_allclose(sol.w, oracle.w, atol=1e-8)
         assert (sol.region == oracle.minimal_time_region).all()
 
 
+def test_certified_equals_long_horizon_limit_dense_150():
+    # a fast-mixing dense chain: the horizon-200 surface has converged
+    rng = np.random.default_rng(150)
+    m = random_chain(rng, 150)
+    rw = random_rewards(m, rng)
+    sol = solve_infinite_horizon(m, rw)
+    assert sol.certified
+    assert sol.iterations <= m.n_states + 1
+    fh = solve_finite_horizon(m, rw, 200)
+    np.testing.assert_allclose(fh.surface[200], sol.w, rtol=0, atol=1e-9)
+
+
+def test_certified_dominates_horizon_surface_walk_120():
+    # lazy reflecting walk, slow to mix: hold 1/2, step +-1 with 1/4 each
+    n = 120
+    P = 0.5 * np.eye(n)
+    for x in range(n):
+        P[x, max(x - 1, 0)] += 0.25
+        P[x, min(x + 1, n - 1)] += 0.25
+    m = build_dtmc(range(n), P)
+    x = np.arange(n)
+    rw = make_rewards(m, np.where(x < n // 2, -1.2, 0.3), 5.0 * np.sin(x / 7.0))
+    sol = solve_infinite_horizon(m, rw)
+    assert sol.certified
+    assert sol.iterations <= n + 1
+    fh = solve_finite_horizon(m, rw, 2000)
+    assert (fh.surface <= sol.w + 1e-9).all()
+
+
 def test_monotone_horizon_sweep(chain_b, chain_b_rewards):
-    sol = solve_infinite_horizon(chain_b, chain_b_rewards, tol=1e-12)
+    sol = solve_infinite_horizon(chain_b, chain_b_rewards)
     gaps = []
     prev = None
     for T in (8, 16, 32, 64, 128, 256, 512, 1024):
@@ -156,7 +185,7 @@ def test_eps_rule_monotone_and_eps_optimal():
     for _ in range(10):
         m = random_chain(rng, int(rng.integers(2, 7)))
         rw = random_rewards(m, rng)
-        sol = solve_infinite_horizon(m, rw, tol=1e-12)
+        sol = solve_infinite_horizon(m, rw)
         prev = None
         for eps in (0.0, 0.01, 0.1, 1.0):
             reg = stopping_rule_eps(sol, eps)
@@ -226,7 +255,7 @@ def test_bound_on_corpus_all_deltas():
     for _ in range(15):
         m = random_chain(rng, int(rng.integers(2, 8)))
         rw = random_rewards(m, rng)
-        sol = solve_infinite_horizon(m, rw, tol=1e-12)
+        sol = solve_infinite_horizon(m, rw)
         for delta in (0.25, 0.5, 1.0):
             rep = stopping_time_bound(m, rw, sol, delta * rw.mu_f)
             assert (rep.expected_tau <= rep.Z + 1e-9).all()

@@ -38,7 +38,7 @@ from .infinite_horizon import (
     solve_infinite_horizon,
     stopping_rule_eps,
 )
-from .markov import stationary_distribution
+from .markov import grid_steps, stationary_distribution
 from .modelio import load_model_file
 from .montecarlo import estimate_functional, terminal_truncation_gap
 from .report import emit_report
@@ -214,7 +214,12 @@ def _dispatch(args):
     if args.command == "solve":
         _require_rewards(mf)
         rewards = make_rewards(model, mf.f, mf.g)
-        steps = _steps(args.horizon, model.dt)
+        try:
+            steps = int(grid_steps(args.horizon, model.dt))
+        except ValueError:
+            raise ConflictingFlags(
+                f"--horizon {args.horizon} is not a multiple of dt {model.dt}"
+            ) from None
         if args.truncate is not None:
             sol = solve_truncated(model, rewards, steps, args.truncate)
         else:
@@ -384,14 +389,6 @@ def _diagnose(args, mf):
             "verdict": rep.verdict,
         }}, args.seed
     raise ConflictingFlags(f"unknown check {args.check}")
-
-
-def _steps(horizon: float, dt: float) -> int:
-    steps = horizon / dt
-    rounded = round(steps)
-    if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-        raise ConflictingFlags(f"--horizon {horizon} is not a multiple of dt {dt}")
-    return int(rounded)
 
 
 def main() -> None:

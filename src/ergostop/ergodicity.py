@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoMixingDetected, SingularSystem
+from .errors import NoMixingDetected, SingularSystem
 from .markov import (
     Distribution,
     MarkovModel,
     chain_period,
-    recurrent_classes,
+    grid_steps,
+    is_irreducible,
+    per_state,
+    region_mask,
     simulate_paths,
 )
 
@@ -87,7 +90,7 @@ def tv_distance_curve(
     Computed from matrix powers, no sampling. No monotonicity is asserted:
     TV curves of periodic-ish chains can oscillate.
     """
-    steps = _grid_steps(max_time, model.dt)
+    steps = int(grid_steps(max_time, model.dt))
     if steps < 1:
         raise ValueError("max_time must cover at least one step")
     probes = np.asarray(probe_states, dtype=int)
@@ -155,14 +158,12 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
     rejected: the linear system would still solve, but only in a Cesaro
     sense that silently changes the object's meaning.
     """
-    fv = _per_state(model, f, "f")
-    classes = recurrent_classes(model.kernel)
-    if len(classes) != 1 or not classes[0].all():
+    fv = per_state(model, f, "f")
+    if not is_irreducible(model.kernel):
         raise SingularSystem("zero-potential requires an irreducible chain")
-    if chain_period(model.kernel) != 1:
-        raise SingularSystem(
-            f"chain has period {chain_period(model.kernel)}; defining series diverges"
-        )
+    period = chain_period(model.kernel)
+    if period != 1:
+        raise SingularSystem(f"chain has period {period}; defining series diverges")
     n = model.n_states
     mu_f = float(mu.weights @ fv)
     rhs = model.dt * (fv - mu_f)
@@ -193,9 +194,9 @@ def stopped_potential_exact(
     tau = min(hitting time of stop_region, cap_steps); independent of the
     Monte Carlo path, for cross-checking the stopped identity.
     """
-    fv = _per_state(model, f, "f")
-    qv = _per_state(model, q, "q")
-    region = _region_mask(model, stop_region)
+    fv = per_state(model, f, "f")
+    qv = per_state(model, q, "q")
+    region = region_mask(model, stop_region)
     centred = model.dt * (fv - float(mu.weights @ fv))
     v = qv.copy()
     for _ in range(cap_steps):
@@ -219,8 +220,8 @@ def verify_dynkin_identity(
     Simulates tau = min(hit stop_region, cap_steps) and compares the sample
     mean of the stopped functional against q(start) at 3 standard errors.
     """
-    fv = _per_state(model, f, "f")
-    region = _region_mask(model, stop_region)
+    fv = per_state(model, f, "f")
+    region = region_mask(model, stop_region)
     if cap_steps < 0:
         raise ValueError("cap_steps must be >= 0")
     reference = float(zp.q[start])
@@ -253,32 +254,3 @@ def verify_dynkin_identity(
         z_score=float(z), verdict=verdict,
     )
 
-
-# -- helpers ------------------------------------------------------------------
-
-def _grid_steps(time_value: float, dt: float) -> int:
-    steps = time_value / dt
-    rounded = round(steps)
-    if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-        raise ValueError(f"time {time_value} is not a multiple of dt = {dt}")
-    return int(rounded)
-
-
-def _per_state(model: MarkovModel, values, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.shape != (model.n_states,):
-        raise DimensionMismatch(
-            f"{name} must have shape ({model.n_states},), got {v.shape}"
-        )
-    return v
-
-
-def _region_mask(model: MarkovModel, region) -> np.ndarray:
-    r = np.asarray(region)
-    if r.dtype == bool:
-        if r.shape != (model.n_states,):
-            raise DimensionMismatch("region mask has wrong length")
-        return r
-    mask = np.zeros(model.n_states, dtype=bool)
-    mask[r.astype(int)] = True
-    return mask

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AugmentationTooLarge, BadNesting
-from .markov import MarkovModel
-from .rewards import RewardSpec, make_rewards
+from .markov import MarkovModel, region_mask
+from .rewards import RewardSpec
 
 TIE_TOL = 1e-9
 SUPERMARTINGALE_TOL = 1e-10
@@ -220,11 +220,12 @@ def expected_running_max(
 
 # -- taboo probabilities and the (B)-family -------------------------------------
 
-def survival_probability(
-    model: MarkovModel, inside: np.ndarray, steps: int
-) -> np.ndarray:
-    """gamma_T(x, U) = P^x{ X stays in U through step T }, zero off U."""
-    mask = np.asarray(inside, dtype=bool)
+def survival_probability(model: MarkovModel, inside, steps: int) -> np.ndarray:
+    """gamma_T(x, U) = P^x{ X stays in U through step T }, zero off U.
+
+    ``inside`` is U, as a boolean mask or as state indices.
+    """
+    mask = region_mask(model, inside)
     out = np.zeros(model.n_states)
     if mask.any():
         sub = model.kernel[np.ix_(mask, mask)]
@@ -260,7 +261,7 @@ def b_family_diagnostics(
     computed by taboo-kernel powers and horizon-T Snell envelopes, no
     sampling. Distance-based parts need coords and are None without them.
     """
-    masks = [np.asarray(_mask(model, s), dtype=bool) for s in nested_sets]
+    masks = [region_mask(model, s) for s in nested_sets]
     if not masks:
         raise BadNesting("nested_sets must be nonempty")
     for a, b_ in zip(masks, masks[1:]):
@@ -268,7 +269,7 @@ def b_family_diagnostics(
             raise BadNesting("nested_sets must be increasing")
     if not masks[-1].all():
         raise BadNesting("nested_sets must cover the state space")
-    probe = np.asarray(_mask(model, probe_ball), dtype=bool)
+    probe = region_mask(model, probe_ball)
     if not probe.any():
         raise BadNesting("probe_ball must be nonempty")
     if np.any(probe & ~masks[0]):
@@ -378,21 +379,10 @@ def b_family_diagnostics(
     )
 
 
-def _mask(model: MarkovModel, subset) -> np.ndarray:
-    s = np.asarray(subset)
-    if s.dtype == bool:
-        return s
-    mask = np.zeros(model.n_states, dtype=bool)
-    mask[s.astype(int)] = True
-    return mask
-
-
 __all__ = [
     "FiniteHorizonSolution",
     "SupermartingaleReport",
     "TailReport",
-    "RewardSpec",
-    "make_rewards",
     "solve_finite_horizon",
     "solve_truncated",
     "truncation_gap_bound",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     DriftNotNegative,
     BoundViolated,
     NoCoords,
@@ -28,7 +27,15 @@ from .errors import (
     NoValidN,
     TooManyStates,
 )
-from .markov import Distribution, MarkovModel, is_irreducible, stationary_distribution
+from .markov import (
+    Distribution,
+    MarkovModel,
+    is_irreducible,
+    per_state,
+    region_mask,
+    stationary_distribution,
+    surely_hits,
+)
 from .rewards import RewardSpec
 
 TIE_TOL = 1e-9
@@ -116,16 +123,6 @@ class CompactifiedReward:
 
 # -- exact policy evaluation ---------------------------------------------------
 
-def _can_reach(kernel: np.ndarray, target: np.ndarray) -> np.ndarray:
-    adj = kernel > 1e-15
-    reach = target.copy()
-    while True:
-        grown = reach | (adj @ reach)
-        if (grown == reach).all():
-            return reach
-        reach = grown
-
-
 def _policy_value(
     kernel: np.ndarray, dt: float, run: np.ndarray, term: np.ndarray, region: np.ndarray
 ) -> np.ndarray:
@@ -135,18 +132,9 @@ def _policy_value(
     positive escape probability the running cost accrues forever and the
     capped functionals diverge to minus infinity.
     """
-    n = len(term)
-    if not region.any():
-        return np.full(n, -np.inf)
-    v = np.full(n, -np.inf)
+    v = np.full(len(term), -np.inf)
     v[region] = term[region]
-    cont = ~region
-    if not cont.any():
-        return v
-    reach = _can_reach(kernel, region)
-    stranded = ~reach
-    doomed = _can_reach(kernel, stranded) if stranded.any() else np.zeros(n, bool)
-    good = cont & ~doomed
+    good = surely_hits(kernel, region) > region
     if good.any():
         A = np.eye(good.sum()) - kernel[np.ix_(good, good)]
         rhs = dt * run[good] + kernel[np.ix_(good, region)] @ term[region]
@@ -159,29 +147,20 @@ def _policy_value(
 def region_value(model: MarkovModel, rewards: RewardSpec, region) -> np.ndarray:
     """Value of stopping at the first entry to ``region``; -inf where the
     region is missed with positive probability, everywhere for an empty one."""
-    mask = _region_mask(model, region)
+    mask = region_mask(model, region)
     return _policy_value(model.kernel, model.dt, rewards.f, rewards.g, mask)
 
 
 def expected_hitting_time(model: MarkovModel, region) -> np.ndarray:
     """E^x[first entry time of region] in time units; inf off the a.s.-hit set."""
-    mask = _region_mask(model, region)
-    n = model.n_states
-    if not mask.any():
-        return np.full(n, np.inf)
-    t = np.zeros(n)
-    cont = ~mask
-    if cont.any():
-        reach = _can_reach(model.kernel, mask)
-        stranded = ~reach
-        doomed = _can_reach(model.kernel, stranded) if stranded.any() else np.zeros(n, bool)
-        good = cont & ~doomed
-        t[cont & doomed] = np.inf
-        if good.any():
-            sub = model.kernel[np.ix_(good, good)]
-            t[good] = np.linalg.solve(
-                np.eye(good.sum()) - sub, np.full(good.sum(), model.dt)
-            )
+    mask = region_mask(model, region)
+    good = surely_hits(model.kernel, mask) > mask
+    t = np.where(mask, 0.0, np.inf)
+    if good.any():
+        sub = model.kernel[np.ix_(good, good)]
+        t[good] = np.linalg.solve(
+            np.eye(good.sum()) - sub, np.full(good.sum(), model.dt)
+        )
     return t
 
 
@@ -236,11 +215,12 @@ def solve_infinite_horizon(
     w, region, residual, certified, iterations = _certified_solve(
         model.kernel, model.dt, rewards.f, rewards.g
     )
-    d_vec = _resolve_d(model, rewards, delta, d)
-    gamma = gamma_value(model, rewards.f, d_vec)
-    zeta_plus = float(np.maximum(rewards.g, 0.0).max())
-    expected_tau = expected_hitting_time(model, region)
-    Z = (gamma + zeta_plus - rewards.g + 1.0) / (-d_vec)
+    if d is None:
+        if not 0 < delta <= 1:
+            raise ValueError(f"delta must lie in (0, 1], got {delta}")
+        d = delta * rewards.mu_f
+    d_vec = _negative_d(model, d)
+    gamma, Z = _gamma_and_bound(model, rewards, d_vec)
     return InfiniteHorizonSolution(
         w=w,
         region=region,
@@ -251,19 +231,22 @@ def solve_infinite_horizon(
         gamma=gamma,
         d=d_vec,
         Z=Z,
-        expected_tau=expected_tau,
+        expected_tau=expected_hitting_time(model, region),
     )
 
 
-def _resolve_d(model, rewards, delta, d) -> np.ndarray:
-    if d is not None:
-        d_vec = np.asarray(d, dtype=float) * np.ones(model.n_states)
-        if np.any(d_vec >= 0):
-            raise DriftNotNegative("override d must be negative per state")
-        return d_vec
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return np.full(model.n_states, delta * rewards.mu_f)
+def _negative_d(model: MarkovModel, d) -> np.ndarray:
+    d_vec = np.asarray(d, dtype=float) * np.ones(model.n_states)
+    if np.any(d_vec >= 0):
+        raise DriftNotNegative("d must be negative per state")
+    return d_vec
+
+
+def _gamma_and_bound(model: MarkovModel, rewards: RewardSpec, d_vec: np.ndarray):
+    """gamma and Z = (gamma + max g+ - g + 1) / (-d) for a negative d."""
+    gamma = _gamma(model, rewards.f, rewards.mu_f, d_vec)
+    zeta_plus = float(np.maximum(rewards.g, 0.0).max())
+    return gamma, (gamma + zeta_plus - rewards.g + 1.0) / (-d_vec)
 
 
 def stopping_rule_eps(solution: InfiniteHorizonSolution, eps: float) -> np.ndarray:
@@ -289,14 +272,14 @@ def gamma_value(model: MarkovModel, f, d) -> np.ndarray:
     natural choice d = mu(f) and stays finite on a finite chain, so only a
     strictly positive centred drift is refused.
     """
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (model.n_states,):
-        raise DimensionMismatch("f has wrong length")
-    d_vec = np.asarray(d, dtype=float) * np.ones(model.n_states)
-    if np.any(d_vec >= 0):
-        raise DriftNotNegative("d must be negative per state")
-    mu = stationary_distribution(model)
-    mu_f = float(mu.weights @ fv)
+    fv = per_state(model, f, "f")
+    d_vec = _negative_d(model, d)
+    mu_f = float(stationary_distribution(model).weights @ fv)
+    return _gamma(model, fv, mu_f, d_vec)
+
+
+def _gamma(model: MarkovModel, fv: np.ndarray, mu_f: float, d_vec: np.ndarray):
+    """gamma_value for a validated f with invariant mean mu_f and negative d."""
     gamma = np.empty(model.n_states)
     zero_term = np.zeros(model.n_states)
     for c in np.unique(d_vec):
@@ -329,13 +312,10 @@ def stopping_time_bound(
         raise NotIrreducible("bound needs an irreducible chain")
     if not solution.certified:
         raise ValueError("stopping-time bound requires a certified solution")
-    d_vec = np.asarray(d, dtype=float) * np.ones(model.n_states)
-    if np.any(d_vec >= 0):
-        raise DriftNotNegative("d must be negative per state")
-    gamma = gamma_value(model, rewards.f, d_vec)
+    d_vec = _negative_d(model, d)
+    gamma, Z = _gamma_and_bound(model, rewards, d_vec)
     zeta_plus = float(np.maximum(rewards.g, 0.0).max())
-    Z = (gamma + zeta_plus - rewards.g + 1.0) / (-d_vec)
-    expected_tau = expected_hitting_time(model, solution.region)
+    expected_tau = solution.expected_tau
     ok = bool(np.all(expected_tau <= Z + 1e-9))
     if not ok:
         worst = int(np.argmax(expected_tau - Z))
@@ -359,18 +339,17 @@ def brute_force_region_oracle(model: MarkovModel, rewards: RewardSpec) -> Oracle
     n = model.n_states
     if n > 20:
         raise TooManyStates(f"{n} states: 2^n enumeration refused beyond 20")
-    best = np.full(n, -np.inf)
-    values = []
-    for code in range(1, 1 << n):
-        mask = np.array([(code >> i) & 1 for i in range(n)], dtype=bool)
-        v = _policy_value(model.kernel, model.dt, rewards.f, rewards.g, mask)
-        values.append((mask, v))
-        best = np.maximum(best, v)
-    optimal = [mask for mask, v in values if np.all(v >= best - 1e-9)]
-    union = np.zeros(n, dtype=bool)
-    for mask in optimal:
-        union |= mask
-    return OracleResult(w=best, optimal_regions=optimal, minimal_time_region=union)
+    codes = np.arange(1, 1 << n)
+    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+    values = np.array([
+        _policy_value(model.kernel, model.dt, rewards.f, rewards.g, mask)
+        for mask in masks
+    ])
+    best = values.max(axis=0)
+    optimal = masks[np.all(values >= best - 1e-9, axis=1)]
+    return OracleResult(
+        w=best, optimal_regions=list(optimal), minimal_time_region=optimal.any(axis=0)
+    )
 
 
 def check_condition_S(
@@ -397,7 +376,9 @@ def check_condition_S(
         raise ArithmeticError(
             f"bar-gamma solve failed certification (residual {residual:.2e})"
         )
-    gamma = gamma_value(model, rewards.f, np.full(model.n_states, delta * rewards.mu_f))
+    gamma = _gamma(
+        model, rewards.f, rewards.mu_f, np.full(model.n_states, delta * rewards.mu_f)
+    )
     gap = float(np.max(np.abs(bar - (gamma - q))))
     return ConditionSReport(
         delta=delta, bar_gamma=bar, gamma=gamma, identity_gap=gap,
@@ -457,13 +438,3 @@ def compactify_running_reward(
         N=N, center=center, z=z, f_hat=f_hat, f_bar=f_bar, mu_f_bar=mu_f_bar
     )
 
-
-def _region_mask(model: MarkovModel, region) -> np.ndarray:
-    r = np.asarray(region)
-    if r.dtype == bool:
-        if r.shape != (model.n_states,):
-            raise DimensionMismatch("region mask has wrong length")
-        return r.copy()
-    mask = np.zeros(model.n_states, dtype=bool)
-    mask[r.astype(int)] = True
-    return mask

@@ -207,41 +207,69 @@ def adjacency(kernel: np.ndarray) -> np.ndarray:
     return kernel > EDGE_TOL
 
 
-def reachable_matrix(kernel: np.ndarray) -> np.ndarray:
-    """R[i, j] = state j reachable from i in >= 0 steps (transitive closure)."""
-    reach = adjacency(kernel) | np.eye(kernel.shape[0], dtype=bool)
-    while True:
-        nxt = reach @ reach
-        if (nxt == reach).all():
-            return reach
-        reach = nxt
+def reaches(adj: np.ndarray, target) -> np.ndarray:
+    """States with a path of zero or more edges into the boolean mask ``target``.
+
+    A backward breadth-first search on the edge matrix ``adj`` (``adj[i, j]``
+    marks an edge i -> j); pass ``adj.T`` for the states reachable from
+    ``target``. Each step reads only the columns of the states reached in
+    the step before, so one search reads every column at most once.
+    """
+    reach = np.array(target, dtype=bool)
+    (new,) = reach.nonzero()
+    while len(new):
+        grown = np.logical_or.reduce(adj[:, new], axis=1) > reach
+        reach |= grown
+        (new,) = grown.nonzero()
+    return reach
 
 
 def recurrent_classes(kernel: np.ndarray) -> list[np.ndarray]:
-    """Recurrent communication classes as boolean masks.
+    """Recurrent communication classes as boolean masks, ordered by their
+    smallest state.
 
-    A class is recurrent when no state outside it is reachable from it.
+    The class of i is what i reaches and what reaches i; it is recurrent
+    when everything i reaches stays inside it.
     """
-    reach = reachable_matrix(kernel)
-    mutual = reach & reach.T
+    adj = adjacency(kernel)
     n = kernel.shape[0]
     seen = np.zeros(n, dtype=bool)
     classes = []
     for i in range(n):
         if seen[i]:
             continue
-        cls = mutual[i]
+        source = np.arange(n) == i
+        forward = reaches(adj.T, source)
+        cls = forward & reaches(adj, source)
         seen |= cls
-        # recurrent iff everything reachable from the class stays inside
-        if not np.any(reach[cls] & ~cls[None, :]):
+        if not np.any(forward > cls):
             classes.append(cls)
     return classes
 
 
 def is_irreducible(kernel: np.ndarray) -> bool:
-    """All states mutually reachable."""
-    reach = reachable_matrix(kernel)
-    return bool((reach & reach.T).all())
+    """All states mutually reachable: state 0 reaches every state and every
+    state reaches state 0."""
+    adj = adjacency(kernel)
+    zero = np.arange(kernel.shape[0]) == 0
+    return bool(reaches(adj, zero).all() and reaches(adj.T, zero).all())
+
+
+def surely_hits(kernel: np.ndarray, region) -> np.ndarray:
+    """States from which the chain enters the boolean mask ``region`` almost
+    surely (in zero or more steps), the domain of a finite hitting rule.
+
+    On a finite chain the region is missed with positive probability exactly
+    when a path that avoids it leads to a state that cannot reach it; a path
+    ends on entering the region, so the region's out-edges are dropped
+    before that second search.
+    """
+    adj = adjacency(kernel)
+    stranded = ~reaches(adj, region)
+    if not stranded.any():
+        return np.ones(kernel.shape[0], dtype=bool)
+    adj[region] = False
+    return ~reaches(adj, stranded)
 
 
 def chain_period(kernel: np.ndarray) -> int:
@@ -304,12 +332,47 @@ def stationary_distribution(model: MarkovModel) -> Distribution:
 
 def apply_transition(model: MarkovModel, values) -> np.ndarray:
     """One-step expectation operator: out(x) = sum_y P(x, y) values(y)."""
+    return model.kernel @ per_state(model, values, "values")
+
+
+# -- per-state helpers ----------------------------------------------------------
+
+def per_state(model: MarkovModel, values, name: str) -> np.ndarray:
+    """``values`` as a float vector with one entry per state."""
     v = np.asarray(values, dtype=float)
     if v.shape != (model.n_states,):
         raise DimensionMismatch(
-            f"values must have shape ({model.n_states},), got {v.shape}"
+            f"{name} must have shape ({model.n_states},), got {v.shape}"
         )
-    return model.kernel @ v
+    return v
+
+
+def region_mask(model: MarkovModel, region) -> np.ndarray:
+    """Boolean state mask of ``region``, given as a mask or as state indices."""
+    r = np.asarray(region)
+    n = model.n_states
+    if r.dtype == bool:
+        if r.shape != (n,):
+            raise DimensionMismatch(
+                f"region mask must have shape ({n},), got {r.shape}"
+            )
+        return r.copy()
+    idx = r.astype(int)
+    if np.any((idx < 0) | (idx >= n)):
+        raise DimensionMismatch(f"region index out of range for {n} states")
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+def grid_steps(times, dt: float):
+    """Number of dt steps in each time (an int array shaped like ``times``);
+    raises ValueError for a time off the grid."""
+    steps = np.asarray(times, dtype=float) / dt
+    rounded = np.round(steps)
+    if np.any(np.abs(steps - rounded) > 1e-9 * np.maximum(1.0, np.abs(steps))):
+        raise ValueError(f"time {times} is not a multiple of dt = {dt}")
+    return rounded.astype(int)
 
 
 def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:

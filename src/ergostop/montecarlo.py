@@ -21,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableRegion
-from .infinite_horizon import _can_reach, _region_mask
-from .markov import MarkovModel, is_irreducible, path_stream, simulate_paths
+from .markov import (
+    MarkovModel,
+    grid_steps,
+    is_irreducible,
+    path_stream,
+    region_mask,
+    simulate_paths,
+    surely_hits,
+)
 from .rewards import RewardSpec
 
 Z_THRESHOLD = 3.0
@@ -77,11 +84,7 @@ def _horizon_steps(model: MarkovModel, horizons) -> np.ndarray:
     hs = np.asarray(horizons, dtype=float)
     if hs.ndim != 1 or len(hs) == 0 or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be a nonempty increasing grid")
-    steps = hs / model.dt
-    rounded = np.round(steps)
-    if np.any(np.abs(steps - rounded) > 1e-9 * np.maximum(1.0, np.abs(steps))):
-        raise ValueError("every horizon must be a multiple of dt")
-    return rounded.astype(int)
+    return grid_steps(hs, model.dt)
 
 
 def estimate_functional(
@@ -94,7 +97,7 @@ def estimate_functional(
     seed: int,
 ) -> FunctionalEstimate:
     """Sample the capped functional of the hitting rule of ``region``."""
-    mask = _region_mask(model, region)
+    mask = region_mask(model, region)
     steps = _horizon_steps(model, horizons)
     max_steps = int(steps[-1])
     batch = simulate_paths(model, start, max_steps, n_paths, seed)
@@ -152,7 +155,7 @@ def estimate_zeta_plus_tail(
     th = np.asarray(thresholds, dtype=float)
     if np.any(th < 0) or np.any(np.diff(th) < 0):
         raise ValueError("thresholds must be nonnegative ascending")
-    steps = int(_horizon_steps(model, [horizon])[0])
+    steps = int(grid_steps(horizon, model.dt))
     batch = simulate_paths(model, start, steps, n_paths, seed)
     gplus = np.maximum(gv, 0.0)
     zeta = gplus[batch.paths].max(axis=1)
@@ -184,12 +187,9 @@ def terminal_truncation_gap(
     hitting times). Verdict PASS iff both vanish within 3 standard errors at
     the largest horizon.
     """
-    mask = _region_mask(model, region)
+    mask = region_mask(model, region)
     steps = _horizon_steps(model, horizons)
-    reach = _can_reach(model.kernel, mask)
-    stranded = ~reach
-    doomed = _can_reach(model.kernel, stranded) if stranded.any() else stranded
-    if doomed[start]:
+    if not surely_hits(model.kernel, mask)[start]:
         raise UnreachableRegion(
             "region is missed with positive probability from start; "
             "the hitting time is not integrable"

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .markov import Distribution, MarkovModel, stationary_distribution
+from .markov import Distribution, MarkovModel, per_state, stationary_distribution
 
 
 @dataclass(frozen=True)
@@ -21,13 +20,8 @@ class RewardSpec:
 
 def make_rewards(model: MarkovModel, f, g, mu: Distribution | None = None) -> RewardSpec:
     """Validate per-state rewards and cache mu(f) against the invariant law."""
-    fv = np.asarray(f, dtype=float)
-    gv = np.asarray(g, dtype=float)
-    n = model.n_states
-    if fv.shape != (n,) or gv.shape != (n,):
-        raise DimensionMismatch(
-            f"f and g must each have shape ({n},), got {fv.shape} and {gv.shape}"
-        )
+    fv = per_state(model, f, "f")
+    gv = per_state(model, g, "g")
     if not (np.isfinite(fv).all() and np.isfinite(gv).all()):
         raise ValueError("rewards must be finite")
     if mu is None:

@@ -52,3 +52,43 @@ def rule_forward_reach(model, stop_bits, start, horizon_steps):
         cont = alive & ~stop_bits[k]
         alive = adj.T @ cont
     return reached
+
+
+def transitive_closure(kernel):
+    """R[i, j] = state j reachable from i in >= 0 steps, by squaring the
+    boolean reachability matrix until it stops changing."""
+    reach = (kernel > 1e-15) | np.eye(kernel.shape[0], dtype=bool)
+    while True:
+        nxt = reach @ reach
+        if (nxt == reach).all():
+            return reach
+        reach = nxt
+
+
+def closure_recurrent_classes(kernel):
+    """Recurrent classes from the closure, in order of their smallest state:
+    a class is recurrent when nothing outside it is reachable from it."""
+    reach = transitive_closure(kernel)
+    mutual = reach & reach.T
+    seen = np.zeros(kernel.shape[0], dtype=bool)
+    classes = []
+    for i in range(kernel.shape[0]):
+        if seen[i]:
+            continue
+        cls = mutual[i]
+        seen |= cls
+        if not np.any(reach[cls] & ~cls[None, :]):
+            classes.append(cls)
+    return classes
+
+
+def hitting_probability(kernel, region):
+    """P^x{the chain ever enters region}: 1 on the region, 0 where the
+    closure cannot reach it, and the solution of h = P h in between."""
+    can = transitive_closure(kernel)[:, region].any(axis=1)
+    h = np.where(region, 1.0, 0.0)
+    mid = can & ~region
+    if mid.any():
+        A = np.eye(mid.sum()) - kernel[np.ix_(mid, mid)]
+        h[mid] = np.linalg.solve(A, kernel[np.ix_(mid, region)].sum(axis=1))
+    return h

@@ -84,6 +84,18 @@ def test_region_value_unreachable_is_minus_infinity():
     assert np.isfinite(v[0])
 
 
+def test_hitting_rule_counts_paths_through_region_as_hits():
+    # 0 -> 1 -> 2 with 2 absorbing: from 0 the region {1} is entered after one
+    # step surely, even though every path then runs on to a state that cannot
+    # return to the region
+    m = build_dtmc([0, 1, 2], [[0, 1, 0], [0, 0, 1], [0, 0, 1]], dt=0.5)
+    rw = make_rewards(m, [-1.0, 2.0, -3.0], [4.0, 6.0, 1.0])
+    np.testing.assert_allclose(
+        region_value(m, rw, [1]), [0.5 * -1.0 + 6.0, 6.0, -np.inf], atol=1e-12
+    )
+    np.testing.assert_allclose(expected_hitting_time(m, [1]), [0.5, 0.0, np.inf])
+
+
 def test_region_value_empty_region(chain_a, chain_a_rewards):
     v = region_value(chain_a, chain_a_rewards, np.zeros(2, dtype=bool))
     assert (v == -np.inf).all()

@@ -7,10 +7,13 @@ from conftest import CHAIN_A_KERNEL, random_chain
 from ergostop import (
     Distribution,
     apply_transition,
+    b_family_diagnostics,
     build_dtmc,
     build_from_generator,
+    region_value,
     simulate_paths,
     stationary_distribution,
+    survival_probability,
 )
 from ergostop.errors import (
     BadGenerator,
@@ -20,7 +23,15 @@ from ergostop.errors import (
     NonStochasticRow,
     NotIrreducible,
 )
-from ergostop.markov import chain_period, is_irreducible, recurrent_classes
+from ergostop.markov import (
+    adjacency,
+    chain_period,
+    is_irreducible,
+    reaches,
+    recurrent_classes,
+    surely_hits,
+)
+from oracles import closure_recurrent_classes, hitting_probability, transitive_closure
 
 
 def test_build_dtmc_chain_a(chain_a):
@@ -138,6 +149,55 @@ def test_graph_analysis():
     assert chain_period(flip) == 2
     classes = recurrent_classes(np.eye(2))
     assert len(classes) == 2
+
+
+def _random_sparse_kernel(rng, n):
+    """One to three successors per state, so many draws are reducible."""
+    P = np.zeros((n, n))
+    for i in range(n):
+        succ = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+        P[i, succ] = rng.random(len(succ)) + 0.05
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_graph_functions_match_closure_references():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n = int(rng.integers(1, 31))
+        K = _random_sparse_kernel(rng, n)
+        closure = transitive_closure(K)
+        target = rng.random(n) < 0.2
+        np.testing.assert_array_equal(
+            reaches(adjacency(K), target), closure[:, target].any(axis=1)
+        )
+        np.testing.assert_array_equal(
+            reaches(adjacency(K).T, target), closure[target].any(axis=0)
+        )
+        classes = recurrent_classes(K)
+        expected = closure_recurrent_classes(K)
+        assert len(classes) == len(expected)
+        for got, ref in zip(classes, expected):
+            np.testing.assert_array_equal(got, ref)
+        assert is_irreducible(K) == bool(closure.all())
+        region = rng.random(n) < rng.random()
+        np.testing.assert_array_equal(
+            surely_hits(K, region), hitting_probability(K, region) > 1.0 - 1e-9
+        )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, rw: region_value(m, rw, [-1]),
+        lambda m, rw: region_value(m, rw, [2]),
+        lambda m, rw: survival_probability(m, [True], 2),
+        lambda m, rw: b_family_diagnostics(m, rw, 2, [[True, True, True]], [0]),
+    ],
+    ids=["negative-index", "index-past-end", "short-mask", "nested-mask"],
+)
+def test_malformed_regions_raise_dimension_mismatch(chain_a, chain_a_rewards, call):
+    with pytest.raises(DimensionMismatch):
+        call(chain_a, chain_a_rewards)
 
 
 def test_simulate_identity_kernel_constant_paths():

@@ -128,6 +128,15 @@ def test_terminal_gap_unreachable_region_raises():
         terminal_truncation_gap(m, rw, [1], start=0, horizons=[4], n_paths=10, seed=1)
 
 
+def test_terminal_gap_region_passed_through_is_hit():
+    # 0 -> 1 -> 2 with 2 absorbing: region {1} is hit from 0 at step 1 surely
+    m = build_dtmc([0, 1, 2], [[0, 1, 0], [0, 0, 1], [0, 0, 1]])
+    rw = make_rewards(m, [-1.0, 2.0, -3.0], [4.0, 6.0, 1.0])
+    rep = terminal_truncation_gap(m, rw, [1], start=0, horizons=[1, 2], n_paths=50, seed=1)
+    assert rep.verdict == "PASS"
+    np.testing.assert_array_equal(rep.gaps, 0.0)
+
+
 def test_reproducibility_under_seed(chain_a, chain_a_rewards):
     kwargs = dict(region=[1], start=0, horizons=[4, 8], n_paths=3000)
     a = estimate_functional(chain_a, chain_a_rewards, seed=31, **kwargs)

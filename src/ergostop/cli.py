@@ -1,7 +1,9 @@
 """Batch front door: model ingestion, solver dispatch, report emission.
 
 Exit codes: 0 success, 1 malformed input, 2 mathematical verdict (the input
-parsed fine but a standing assumption fails, e.g. nonnegative mean drift).
+parsed fine but a standing assumption fails, e.g. nonnegative mean drift),
+3 numerical failure (a solve or simulation could not certify its result, e.g.
+a residual above tolerance). Exits 2 and 3 also write ``verdict.json``.
 Every run writes a manifest recording the resolved configuration, the model
 file digest, the master seed, and timing; re-running reproduces the solver
 outputs byte for byte.
@@ -19,7 +21,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ConflictingFlags, InputError, MathVerdictError, ParseError
+from .errors import (
+    ConflictingFlags,
+    InputError,
+    IoError,
+    MathVerdictError,
+    NumericalFailure,
+    ParseError,
+)
 from .ergodicity import (
     fit_ergodic_bound,
     tv_distance_curve,
@@ -159,17 +168,25 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         results, seed = _dispatch(args)
-    except MathVerdictError as exc:
+    except (MathVerdictError, NumericalFailure) as exc:
         _emit_verdict(args, exc, started, t0)
         print(f"verdict: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalFailure) else 2
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    manifest = RunManifest(
+    results["manifest"] = _manifest(args, seed, started, t0)
+    paths = emit_report(results, args.out, args.format)
+    for p in paths:
+        print(p)
+    return 0
+
+
+def _manifest(args, seed, started, t0) -> dict:
+    return asdict(RunManifest(
         command=args.command,
         config={k: v for k, v in vars(args).items() if k != "command"},
         model_digest=_digest(args.model),
@@ -177,35 +194,21 @@ def run(argv) -> int:
         version=__version__,
         started_utc=started,
         duration_s=time.perf_counter() - t0,
-    )
-    results["manifest"] = asdict(manifest)
-    paths = emit_report(results, args.out, args.format)
-    for p in paths:
-        print(p)
-    return 0
+    ))
 
 
 def _emit_verdict(args, exc, started, t0) -> None:
+    """Write ``verdict.json``; on failure only warn, the exit code tells."""
     record = {
         "verdict": type(exc).__name__,
         "message": str(exc),
-        "command": getattr(args, "command", None),
+        "command": args.command,
     }
     try:
-        manifest = RunManifest(
-            command=args.command,
-            config={k: v for k, v in vars(args).items() if k != "command"},
-            model_digest=_digest(args.model),
-            master_seed=getattr(args, "seed", None),
-            version=__version__,
-            started_utc=started,
-            duration_s=time.perf_counter() - t0,
-        )
-        emit_report(
-            {"verdict": record, "manifest": asdict(manifest)}, args.out, "json"
-        )
-    except Exception:
-        pass
+        manifest = _manifest(args, getattr(args, "seed", None), started, t0)
+        emit_report({"verdict": record, "manifest": manifest}, args.out, "json")
+    except (OSError, IoError) as err:
+        print(f"warning: verdict.json not written: {err}", file=sys.stderr)
 
 
 def _dispatch(args):

@@ -28,11 +28,11 @@ from .markov import (
     is_irreducible,
     per_state,
     region_mask,
-    simulate_paths,
 )
+from .montecarlo import Z_THRESHOLD, estimate_functional
+from .rewards import RewardSpec
 
 POISSON_TOL = 1e-10
-MC_Z_THRESHOLD = 3.0
 
 # Total-variation convention: unnormalized sum of absolute differences,
 # range [0, 2]. Affects only the K/h fit, never a solver.
@@ -217,8 +217,9 @@ def verify_dynkin_identity(
 ) -> DynkinReport:
     """Monte Carlo check that the stopped zero-potential identity holds.
 
-    Simulates tau = min(hit stop_region, cap_steps) and compares the sample
-    mean of the stopped functional against q(start) at 3 standard errors.
+    The stopped functional is the capped functional of ``montecarlo`` at
+    horizon cap_steps, with running reward f - mu(f) and terminal reward q;
+    its sample mean is compared against q(start) at 3 standard errors.
     """
     fv = per_state(model, f, "f")
     region = region_mask(model, stop_region)
@@ -232,23 +233,18 @@ def verify_dynkin_identity(
             estimate=reference, std_error=0.0, reference=reference,
             z_score=0.0, verdict="PASS",
         )
-    batch = simulate_paths(model, start, cap_steps, n_paths, seed)
-    centred = model.dt * (fv - float(mu.weights @ fv))
-    hit = region[batch.paths]
-    tau = np.where(hit.any(axis=1), hit.argmax(axis=1), cap_steps)
-    increments = centred[batch.paths[:, :-1]]
-    cum = np.zeros((n_paths, cap_steps + 1))
-    np.cumsum(increments, axis=1, out=cum[:, 1:])
-    stopped_state = batch.paths[np.arange(n_paths), tau]
-    samples = cum[np.arange(n_paths), tau] + zp.q[stopped_state]
-    estimate = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    centred = RewardSpec(f=fv - float(mu.weights @ fv), g=zp.q, mu_f=0.0)
+    est = estimate_functional(
+        model, centred, region, start, [cap_steps * model.dt], n_paths, seed
+    )
+    estimate = float(est.estimates[0])
+    se = float(est.std_errors[0])
     diff = estimate - reference
     if se == 0.0:
         z = 0.0 if abs(diff) < 1e-12 else float("inf")
     else:
         z = diff / se
-    verdict = "PASS" if abs(z) <= MC_Z_THRESHOLD else "FAIL"
+    verdict = "PASS" if abs(z) <= Z_THRESHOLD else "FAIL"
     return DynkinReport(
         estimate=estimate, std_error=se, reference=reference,
         z_score=float(z), verdict=verdict,

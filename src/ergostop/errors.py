@@ -1,9 +1,9 @@
-"""Exception taxonomy: input defects versus mathematical verdicts.
+"""Exception taxonomy: input defects, mathematical verdicts, numerical failures.
 
 Input defects mean the caller handed us something malformed (CLI exit 1).
 Mathematical verdicts mean the input is well-formed but an assumption of
 the theory fails, so the requested object does not exist or is infinite
-(CLI exit 2).
+(CLI exit 2). Numerical failures mean a result failed its own check (exit 3).
 """
 
 
@@ -17,6 +17,10 @@ class InputError(ErgoStopError):
 
 class MathVerdictError(ErgoStopError):
     """Well-formed input for which a standing assumption fails."""
+
+
+class NumericalFailure(ErgoStopError, ArithmeticError):
+    """A solve, certification check or simulation budget failed."""
 
 
 # -- input defects ----------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     NoCoords,
     NotIrreducible,
     NoValidN,
+    NumericalFailure,
     TooManyStates,
 )
 from .markov import (
@@ -190,7 +191,7 @@ def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.nd
             return v, region, residual, residual <= CERT_TOL, rounds
         region = improved
     else:
-        raise ArithmeticError(f"policy iteration did not settle within {n + 1} rounds")
+        raise NumericalFailure(f"policy iteration did not settle within {n + 1} rounds")
 
 
 def solve_infinite_horizon(
@@ -291,7 +292,7 @@ def _gamma(model: MarkovModel, fv: np.ndarray, mu_f: float, d_vec: np.ndarray):
             model.kernel, model.dt, fv - c, zero_term
         )
         if not certified:
-            raise ArithmeticError(
+            raise NumericalFailure(
                 f"auxiliary solve failed certification (residual {residual:.2e})"
             )
         sel = d_vec == c
@@ -373,7 +374,7 @@ def check_condition_S(
     run = np.full(model.n_states, (1.0 - delta) * rewards.mu_f)
     bar, _, residual, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
     if not certified:
-        raise ArithmeticError(
+        raise NumericalFailure(
             f"bar-gamma solve failed certification (residual {residual:.2e})"
         )
     gamma = _gamma(
@@ -425,15 +426,15 @@ def compactify_running_reward(
     mu_f_bar = float(mu.weights @ f_bar)
     outside = dist_center > N + 1
     if np.any(f_bar < fv):
-        raise ArithmeticError("compactified reward fails to dominate f")
+        raise NumericalFailure("compactified reward fails to dominate f")
     if mu_f_bar > mu_f / 2.0 + 1e-12:
-        raise ArithmeticError(
+        raise NumericalFailure(
             f"mu(f_bar) = {mu_f_bar} exceeds mu(f)/2 = {mu_f / 2.0}"
         )
     if np.any(f_bar[outside] < 0):
-        raise ArithmeticError("compactified reward negative outside the fat ball")
+        raise NumericalFailure("compactified reward negative outside the fat ball")
     if np.any((f_bar <= mu_f_bar) & outside):
-        raise ArithmeticError("sublevel set escapes the fat ball")
+        raise NumericalFailure("sublevel set escapes the fat ball")
     return CompactifiedReward(
         N=N, center=center, z=z, f_hat=f_hat, f_bar=f_bar, mu_f_bar=mu_f_bar
     )

@@ -20,6 +20,7 @@ from .errors import (
     NegativeEntry,
     NonStochasticRow,
     NotIrreducible,
+    NumericalFailure,
     SeriesNotConverged,
 )
 
@@ -326,7 +327,7 @@ def stationary_distribution(model: MarkovModel) -> Distribution:
     w /= w.sum()
     resid = np.max(np.abs(w @ model.kernel - w))
     if resid > STATIONARY_TOL:
-        raise ArithmeticError(f"stationary solve residual {resid} > {STATIONARY_TOL}")
+        raise NumericalFailure(f"stationary solve residual {resid} > {STATIONARY_TOL}")
     return Distribution(weights=w)
 
 
@@ -386,6 +387,36 @@ def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generat
     )
 
 
+def simulate_block(
+    model: MarkovModel, states, seed: int, path_ids, block: int, steps: int, stop=None
+) -> np.ndarray:
+    """Step paths from ``states`` for ``steps`` steps; the one simulation engine.
+
+    Row r steps by the inverse CDF of its kernel row on uniforms from
+    ``path_stream(seed, path_ids[r], block)``, so any subset of rows comes out
+    the same drawn alone. Rows in the boolean state mask ``stop`` stay put.
+    Returns the (len(path_ids), steps + 1) state indices, ``states`` first.
+    """
+    n = model.n_states
+    cdf = np.cumsum(model.kernel, axis=1)
+    u = np.empty((len(path_ids), steps))
+    for r, i in enumerate(np.asarray(path_ids).tolist()):
+        u[r] = path_stream(seed, i, block).random(steps)
+    paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
+    state = np.array(states, dtype=np.int64)
+    paths[:, 0] = state
+    live = slice(None) if stop is None else np.arange(len(path_ids))
+    for k in range(steps):
+        if stop is not None:
+            live = live[~stop[state[live]]]
+            if not len(live):
+                paths[:, k + 1:] = state[:, None]
+                break
+        state[live] = np.minimum((cdf[state[live]] <= u[live, k, None]).sum(axis=1), n - 1)
+        paths[:, k + 1] = state
+    return paths
+
+
 def simulate_paths(
     model: MarkovModel, start: int, horizon_steps: int, n_paths: int, seed: int
 ) -> PathBatch:
@@ -397,15 +428,7 @@ def simulate_paths(
         raise ValueError("horizon_steps must be >= 0")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    cdf = np.cumsum(model.kernel, axis=1)
-    u = np.empty((n_paths, horizon_steps))
-    for i in range(n_paths):
-        u[i] = path_stream(seed, i).random(horizon_steps)
-    paths = np.empty((n_paths, horizon_steps + 1), dtype=np.int64)
-    paths[:, 0] = start
-    state = np.full(n_paths, start, dtype=np.int64)
-    for k in range(horizon_steps):
-        rows = cdf[state]
-        state = np.minimum((rows <= u[:, k, None]).sum(axis=1), n - 1)
-        paths[:, k + 1] = state
+    paths = simulate_block(
+        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, horizon_steps
+    )
     return PathBatch(paths=paths, seed=seed, start=start)

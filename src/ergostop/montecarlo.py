@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableRegion
+from .errors import NumericalFailure, UnreachableRegion
 from .markov import (
     MarkovModel,
     grid_steps,
     is_irreducible,
-    path_stream,
     region_mask,
+    simulate_block,
     simulate_paths,
     surely_hits,
 )
@@ -80,10 +80,16 @@ class TailEstimate:
     verdict: str | None = None
 
 
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (zero for a single sample)."""
+    n = len(samples)
+    return samples.mean(), samples.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+
+
 def _horizon_steps(model: MarkovModel, horizons) -> np.ndarray:
     hs = np.asarray(horizons, dtype=float)
-    if hs.ndim != 1 or len(hs) == 0 or np.any(np.diff(hs) <= 0):
-        raise ValueError("horizons must be a nonempty increasing grid")
+    if hs.ndim != 1 or len(hs) == 0 or hs[0] < 0 or np.any(np.diff(hs) <= 0):
+        raise ValueError("horizons must be a nonempty nonnegative increasing grid")
     return grid_steps(hs, model.dt)
 
 
@@ -100,8 +106,7 @@ def estimate_functional(
     mask = region_mask(model, region)
     steps = _horizon_steps(model, horizons)
     max_steps = int(steps[-1])
-    batch = simulate_paths(model, start, max_steps, n_paths, seed)
-    paths = batch.paths
+    paths = simulate_paths(model, start, max_steps, n_paths, seed).paths
     hit = mask[paths]
     tau = np.where(hit.any(axis=1), hit.argmax(axis=1), max_steps + 1)
     cum = np.zeros((n_paths, max_steps + 1))
@@ -111,9 +116,7 @@ def estimate_functional(
     rows = np.arange(n_paths)
     for i, T in enumerate(steps):
         m = np.minimum(tau, T)
-        samples = cum[rows, m] + rewards.g[paths[rows, m]]
-        estimates[i] = samples.mean()
-        ses[i] = samples.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+        estimates[i], ses[i] = _mean_se(cum[rows, m] + rewards.g[paths[rows, m]])
     window = max(1, int(np.ceil(len(steps) / 4)))
     verdict = _trend_verdict(estimates, ses)
     return FunctionalEstimate(
@@ -162,9 +165,7 @@ def estimate_zeta_plus_tail(
     estimates = np.empty(len(th))
     ses = np.empty(len(th))
     for i, n in enumerate(th):
-        samples = zeta * (zeta > n)
-        estimates[i] = samples.mean()
-        ses[i] = samples.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+        estimates[i], ses[i] = _mean_se(zeta * (zeta > n))
     exact = float(gplus.max()) if is_irreducible(model.kernel) else None
     return TailEstimate(
         thresholds=th, estimates=estimates, std_errors=ses, exact_value=exact
@@ -194,25 +195,19 @@ def terminal_truncation_gap(
             "region is missed with positive probability from start; "
             "the hitting time is not integrable"
         )
-    tau, F, G, snaps = _simulate_until_hit(
-        model, rewards, mask, start, n_paths, seed, checkpoints=steps
+    uncapped, snaps = _simulate_until_hit(
+        model, rewards, mask, start, n_paths, seed, checkpoints=steps.tolist()
     )
-    uncapped = F + G
-    gminus = np.maximum(-rewards.g, 0.0)
+    # paths stop in the region, so off it g- picks out exactly {tau > T}
+    gminus_off = np.where(mask, 0.0, np.maximum(-rewards.g, 0.0))
     gm = np.empty(len(steps))
     gm_se = np.empty(len(steps))
     gaps = np.empty(len(steps))
     gap_se = np.empty(len(steps))
-    for i, T in enumerate(steps):
-        state_T, cumf_T = snaps[i]
-        active = tau > T
-        term = np.where(active, gminus[state_T], 0.0)
-        gm[i] = term.mean()
-        gm_se[i] = term.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
-        capped = np.where(active, cumf_T + rewards.g[state_T], uncapped)
-        diff = capped - uncapped
-        gaps[i] = abs(diff.mean())
-        gap_se[i] = diff.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+    for i, (state_T, acc_T) in enumerate(snaps):
+        gm[i], gm_se[i] = _mean_se(gminus_off[state_T])
+        gap, gap_se[i] = _mean_se(acc_T + rewards.g[state_T] - uncapped)
+        gaps[i] = abs(gap)
     ok = (
         gm[-1] <= Z_THRESHOLD * gm_se[-1] + 1e-12
         and gaps[-1] <= Z_THRESHOLD * gap_se[-1] + 1e-12
@@ -236,61 +231,38 @@ def _simulate_until_hit(
     seed: int,
     checkpoints,
 ):
-    """Run every path to its hitting time, drawing streams in blocks.
+    """Run every path to its hitting time, in blocks of ``_BLOCK_STEPS`` steps.
 
-    Randomness for path i in block b comes from the stream (seed, i, b + 1),
-    so results are a deterministic function of the master seed regardless of
-    how many paths are still active when a block starts. Returns hitting
-    steps tau, accrued running reward F = sum_{k < tau} dt f(X_k), terminal
-    reward G = g(X_tau), and (state, accrued) snapshots at each checkpoint.
+    Block b of path i draws from the stream (seed, i, b + 1), whichever paths
+    are still running. Returns the uncapped functional sum_{k < tau} dt f(X_k)
+    + g(X_tau) and, per checkpoint T, the states and accrued running rewards
+    after T steps; paths stay frozen once they hit.
     """
-    n = model.n_states
-    cdf = np.cumsum(model.kernel, axis=1)
-    f, g, dt = rewards.f, rewards.g, model.dt
+    run = model.dt * rewards.f
     state = np.full(n_paths, start, dtype=np.int64)
-    cumf = np.zeros(n_paths)
-    tau = np.full(n_paths, -1, dtype=np.int64)
-    F = np.zeros(n_paths)
-    G = np.zeros(n_paths)
-    if mask[start]:
-        tau[:] = 0
-        G[:] = g[start]
-    active = tau < 0
-    cp = [int(c) for c in checkpoints]
-    snaps: list = [None] * len(cp)
-    cp_idx = 0
-    step = 0
-    block_ids = None
-    u_block = None
-    while True:
-        while cp_idx < len(cp) and cp[cp_idx] == step:
-            snaps[cp_idx] = (state.copy(), cumf.copy())
-            cp_idx += 1
-        if not active.any():
-            while cp_idx < len(cp):
-                snaps[cp_idx] = (state.copy(), cumf.copy())
-                cp_idx += 1
-            break
-        block, k = divmod(step, _BLOCK_STEPS)
+    acc = np.zeros(n_paths)
+    snaps = {}
+    ids = np.arange(n_paths) if not mask[start] else np.arange(0)
+    block = 0
+    while len(ids):
         if block >= _MAX_BLOCKS:
-            raise RuntimeError(
+            raise NumericalFailure(
                 f"paths failed to hit the region within {_MAX_BLOCKS * _BLOCK_STEPS} steps"
             )
-        if k == 0:
-            block_ids = np.flatnonzero(active)
-            u_block = np.empty((len(block_ids), _BLOCK_STEPS))
-            for row, i in enumerate(block_ids):
-                u_block[row] = path_stream(seed, int(i), block + 1).random(_BLOCK_STEPS)
-        alive = active[block_ids]
-        ids = block_ids[alive]
-        cumf[ids] += dt * f[state[ids]]
-        rows = cdf[state[ids]]
-        state[ids] = np.minimum((rows <= u_block[alive, k, None]).sum(axis=1), n - 1)
-        step += 1
-        hit_now = active & mask[state]
-        if hit_now.any():
-            tau[hit_now] = step
-            F[hit_now] = cumf[hit_now]
-            G[hit_now] = g[state[hit_now]]
-            active &= ~hit_now
-    return tau, F, G, snaps
+        seg = simulate_block(
+            model, state[ids], seed, ids, block + 1, _BLOCK_STEPS, stop=mask
+        )
+        moved = (~mask[seg[:, :-1]]).sum(axis=1)
+        part = acc[ids]
+        # after the last entry every row is frozen: later checkpoints read the end
+        for k in range(moved.max()):
+            if block * _BLOCK_STEPS + k in checkpoints:
+                state[ids], acc[ids] = seg[:, k], part
+                snaps[block * _BLOCK_STEPS + k] = state.copy(), acc.copy()
+            live = moved > k
+            part[live] += run[seg[live, k]]
+        acc[ids] = part
+        state[ids] = seg[:, -1]
+        ids = ids[~mask[seg[:, -1]]]
+        block += 1
+    return acc + rewards.g[state], [snaps.get(T, (state, acc)) for T in checkpoints]

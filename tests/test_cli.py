@@ -12,6 +12,7 @@ from conftest import (
     CHAIN_B_KERNEL,
     chain_b_generator_rows,
 )
+from ergostop import markov, montecarlo
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
@@ -125,6 +126,30 @@ def test_solve_infinite_drift_verdict_exit_2(tmp_path):
     assert code == 2
     verdict = json.load(open(os.path.join(out, "verdict.json")))
     assert verdict["verdict"] == "DriftNotNegative"
+
+
+@pytest.mark.parametrize(
+    "module, name, value, argv",
+    [
+        (montecarlo, "_MAX_BLOCKS", 1,
+         ["simulate", "--region", "1", "--horizons", "4,8", "--paths", "200"]),
+        (markov, "STATIONARY_TOL", -1.0, ["solve-infinite"]),
+    ],
+    ids=["simulation-step-budget", "stationary-residual"],
+)
+def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys, module, name, value, argv):
+    # state 0 holds with probability 0.99: most paths need more than 64 steps
+    path = tmp_path / "sticky.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1"], "kernel": [[0.99, 0.01], [0.2, 0.8]], "dt": 1.0,
+        "f": [-1.0, -4.0], "g": [0.0, 5.0],
+    }))
+    monkeypatch.setattr(module, name, value)
+    out = str(tmp_path / "out")
+    assert run([*argv, "--model", str(path), "--out", out]) == 3
+    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    assert verdict["verdict"] == "NumericalFailure"
+    assert "NumericalFailure" in capsys.readouterr().err
 
 
 def test_input_error_exit_1(tmp_path):

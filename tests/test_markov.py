@@ -29,6 +29,7 @@ from ergostop.markov import (
     is_irreducible,
     reaches,
     recurrent_classes,
+    simulate_block,
     surely_hits,
 )
 from oracles import closure_recurrent_classes, hitting_probability, transitive_closure
@@ -226,6 +227,24 @@ def test_simulate_transitions_have_positive_probability(chain_b):
     batch = simulate_paths(chain_b, 2, 50, 200, seed=1)
     probs = chain_b.kernel[batch.paths[:, :-1], batch.paths[:, 1:]]
     assert (probs > 0).all()
+
+
+def test_simulate_block_is_splittable_by_path_id(chain_b):
+    ids = np.arange(30)
+    states = ids % 5
+    part = ids[[2, 5, 17, 29]]
+    stop = np.array([True, False, False, False, False])
+    for mask in (None, stop):
+        full = simulate_block(chain_b, states, 7, ids, 3, 70, stop=mask)
+        alone = simulate_block(chain_b, states[part], 7, part, 3, 70, stop=mask)
+        np.testing.assert_array_equal(alone, full[part])
+    # the last pass used the stop mask: a row that enters it stays there
+    entered = np.logical_or.accumulate(stop[full], axis=1)
+    assert entered[:, -1].any() and (full[entered] == 0).all()
+    batch = simulate_paths(chain_b, 2, 40, 12, seed=9)
+    for i in range(12):
+        drawn_alone = simulate_block(chain_b, [2], 9, [i], 0, 40)
+        np.testing.assert_array_equal(drawn_alone[0], batch.paths[i])
 
 
 def test_distribution_validation():

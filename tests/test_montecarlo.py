@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CHAIN_A_F, CHAIN_A_G
+from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_B_F
 from ergostop import (
     Distribution,
     build_dtmc,
@@ -9,7 +9,10 @@ from ergostop import (
     estimate_zeta_plus_tail,
     make_rewards,
     solve_infinite_horizon,
+    stationary_distribution,
     terminal_truncation_gap,
+    verify_dynkin_identity,
+    zero_potential,
 )
 from ergostop.errors import UnreachableRegion
 
@@ -158,3 +161,45 @@ def test_liminf_limsup_windows_coincide_for_integrable_tau(chain_a, chain_a_rewa
     )
     spread = est.limsup_window - est.liminf_window
     assert spread <= 3 * (est.std_errors[-2:].max() * 2)
+
+
+@pytest.mark.parametrize("sampler", [estimate_functional, terminal_truncation_gap])
+def test_negative_horizon_rejected(chain_a, chain_a_rewards, sampler):
+    with pytest.raises(ValueError):
+        sampler(chain_a, chain_a_rewards, [1], 0, [-2, 4], 10, 1)
+
+
+# Pinned samples. They move only if the stream layout, the stepping or the
+# order of the sums changes; any such change moves every seeded verdict too.
+
+def test_golden_functional_chain_a(chain_a, chain_a_rewards):
+    est = estimate_functional(chain_a, chain_a_rewards, [1], 0, [4, 8, 16], 40, 2024)
+    assert est.estimates.tolist() == [8.5, 8.85, 8.85]
+    assert est.std_errors.tolist() == [
+        0.3080126537527231, 0.38154544038282395, 0.38154544038282395,
+    ]
+
+
+def test_golden_dynkin_past_one_block(chain_b):
+    # from state 4 some paths are still out of region {0} after 64 steps
+    mu = stationary_distribution(chain_b)
+    zp = zero_potential(chain_b, CHAIN_B_F, mu)
+    rep = verify_dynkin_identity(chain_b, zp, CHAIN_B_F, mu, [0], 100, 4, 30, 5)
+    assert rep.estimate == -17.033333333333335
+    assert rep.std_error == 7.579385735177052
+    assert rep.z_score == 1.9746543043988576
+
+
+def test_golden_truncation_gap_across_blocks(chain_b):
+    # g < 0 off the region, so the g- term is nonzero at the block edges 64, 128
+    rw = make_rewards(chain_b, CHAIN_B_F, [0.0, -1.0, -2.0, -3.0, -4.0])
+    rep = terminal_truncation_gap(chain_b, rw, [0], 4, [32, 64, 128, 256], 40, 8)
+    assert rep.gminus_terms.tolist() == [1.775, 0.525, 0.1, 0.0]
+    assert rep.gminus_std_errors.tolist() == [
+        0.2643024200244281, 0.17898395573418419, 0.09999999999999999, 0.0,
+    ]
+    assert rep.gaps.tolist() == [36.425, 7.75, 0.6, 0.0]
+    assert rep.gap_std_errors.tolist() == [
+        9.369542000956733, 4.6252858539520805, 0.6, 0.0,
+    ]
+    assert rep.verdict == "PASS"

@@ -168,18 +168,19 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         results, seed = _dispatch(args)
+        results["manifest"] = _manifest(args, seed, started, t0)
+        paths = emit_report(results, args.out, args.format)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not malformed input
+        failure = NumericalFailure(f"linear solve failed: {exc}")
+        return _verdict(args, failure, started, t0)
     except (MathVerdictError, NumericalFailure) as exc:
-        _emit_verdict(args, exc, started, t0)
-        print(f"verdict: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, NumericalFailure) else 2
+        return _verdict(args, exc, started, t0)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    results["manifest"] = _manifest(args, seed, started, t0)
-    paths = emit_report(results, args.out, args.format)
     for p in paths:
         print(p)
     return 0
@@ -197,8 +198,9 @@ def _manifest(args, seed, started, t0) -> dict:
     ))
 
 
-def _emit_verdict(args, exc, started, t0) -> None:
-    """Write ``verdict.json``; on failure only warn, the exit code tells."""
+def _verdict(args, exc, started, t0) -> int:
+    """Write ``verdict.json`` and return the exit code: 3 for a numerical
+    failure, 2 for a mathematical verdict. A failed write only warns."""
     record = {
         "verdict": type(exc).__name__,
         "message": str(exc),
@@ -209,6 +211,8 @@ def _emit_verdict(args, exc, started, t0) -> None:
         emit_report({"verdict": record, "manifest": manifest}, args.out, "json")
     except (OSError, IoError) as err:
         print(f"warning: verdict.json not written: {err}", file=sys.stderr)
+    print(f"verdict: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3 if isinstance(exc, NumericalFailure) else 2
 
 
 def _dispatch(args):
@@ -240,10 +244,9 @@ def _dispatch(args):
             "truncation_level": sol.truncation_level,
         }
         if args.truncate is not None:
-            diag["truncation_gap_bounds"] = [
-                truncation_gap_bound(model, rewards, steps, args.truncate, x)
-                for x in range(model.n_states)
-            ]
+            diag["truncation_gap_bounds"] = truncation_gap_bound(
+                model, rewards, steps, args.truncate
+            )
         return {"surface": (("state", "k", "w_k", "stop_flag"), rows),
                 "diagnostics": diag}, None
 

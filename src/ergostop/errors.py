@@ -53,10 +53,6 @@ class TooManyStates(InputError):
     """State count exceeds an enumeration cap."""
 
 
-class AugmentationTooLarge(InputError):
-    """Running-max augmented state space exceeds the configured cap."""
-
-
 class BadNesting(InputError):
     """Nested sets are not increasing or do not cover the state space."""
 

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AugmentationTooLarge, BadNesting
+from .errors import BadNesting
 from .markov import MarkovModel, region_mask
 from .rewards import RewardSpec
 
 TIE_TOL = 1e-9
 SUPERMARTINGALE_TOL = 1e-10
-AUGMENTATION_CAP = 200_000
 
 
 @dataclass
@@ -142,102 +141,75 @@ def check_supermartingale(
     )
 
 
-# -- running-max augmentation --------------------------------------------------
+# -- taboo sweeps: running maxima and the (B)-family -----------------------------
 
-def _level_map(values: np.ndarray):
-    levels = np.unique(values)
-    lvl = np.searchsorted(levels, values)
-    return levels, lvl
-
-
-def _running_max_distribution(
-    kernel: np.ndarray, lvl: np.ndarray, n_levels: int, start: int, steps: int
+def _taboo_sweep(
+    kernel: np.ndarray, keep: np.ndarray, value: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Distribution of (X_T, max running level) started at ``start``.
+    """E^x[ value(X_{T ^ sigma}) ], sigma the first exit from the mask, for
+    every start x and every column of the (n, K) mask stack ``keep`` at once.
 
-    The augmented space is states x levels; the cap guards against blowup
-    and failure is explicit, never a silent fallback.
+    ``value = keep`` gives the survival P^x{sigma > T}, ``value = ~keep`` the
+    exit probability P^x{sigma <= T}, each without cancellation. This is the
+    only T-step taboo loop of the module.
     """
-    n = kernel.shape[0]
-    if n * n_levels > AUGMENTATION_CAP:
-        raise AugmentationTooLarge(
-            f"augmented space {n} x {n_levels} exceeds cap {AUGMENTATION_CAP}"
-        )
-    dist = np.zeros((n, n_levels))
-    dist[start, lvl[start]] = 1.0
-    level_idx = np.arange(n_levels)
+    value = value.astype(float)
     for _ in range(steps):
-        dist = kernel.T @ dist
-        # fold levels below the landing state's own level into it
-        folded = np.zeros_like(dist)
-        for y in range(n):
-            ly = lvl[y]
-            folded[y, ly] = dist[y, : ly + 1].sum()
-            folded[y, level_idx > ly] = dist[y, level_idx > ly]
-        dist = folded
-    return dist
+        value = np.where(keep, kernel @ value, value)
+    return value
 
 
-def _zeta_tail_from_start(
-    model: MarkovModel, magnitude: np.ndarray, start: int, steps: int, thresholds
-) -> np.ndarray:
-    """Exact E^start[ zeta 1{zeta > n} ] where zeta = running max of magnitude."""
-    levels, lvl = _level_map(magnitude)
-    dist = _running_max_distribution(model.kernel, lvl, len(levels), start, steps)
-    mass_per_level = dist.sum(axis=0)
-    return np.array(
-        [float(((levels > n) * levels * mass_per_level).sum()) for n in thresholds]
-    )
+def _running_max_tail(model, m, steps, thresholds, weight=None) -> np.ndarray:
+    """E^x[ weight(M_T) 1{M_T > c} ] for every start x (rows) and threshold c
+    (columns), where M_T = max_{k <= T} m(X_k) and ``weight`` is given per
+    level of m, the level itself by default.
+
+    Summed by parts over the levels c_0 < ... < c_{L-1} of m, this is
+    sum_j P^x{M_T >= c_j} (u_j - u_{j-1}) with u_j = weight_j 1{c_j > c},
+    and P^x{M_T >= c_j} is the probability of leaving {m <= c_{j-1}} by step
+    T. For a nondecreasing nonnegative weight every term is nonnegative.
+    """
+    levels = np.unique(m)
+    below = m[:, None] <= levels[None, :-1]
+    reach = np.ones((len(m), len(levels)))
+    reach[:, 1:] = _taboo_sweep(model.kernel, below, ~below, steps)
+    w = levels if weight is None else weight
+    u = w[:, None] * (levels[:, None] > np.asarray(thresholds, dtype=float))
+    return reach @ np.diff(u, axis=0, prepend=0.0)
 
 
 def truncation_gap_bound(
-    model: MarkovModel,
-    rewards: RewardSpec,
-    horizon_steps: int,
-    n: float,
-    start: int,
-) -> float:
-    """Exact E^start[ zeta_T 1{zeta_T > n} ], zeta_T the running max of |g|.
+    model: MarkovModel, rewards: RewardSpec, horizon_steps: int, n: float
+) -> np.ndarray:
+    """Exact E^x[ zeta_T 1{zeta_T > n} ] per start x, zeta_T the running max of |g|.
 
-    Dominates |w_T(start) - truncated w_T(start)| for the clamp level n,
-    turning the truncation error estimate into a machine-checkable
-    inequality rather than a statistical one.
+    Dominates |w_T(x) - truncated w_T(x)| for the clamp level n, turning the
+    truncation error estimate into a machine-checkable inequality rather
+    than a statistical one.
     """
-    return float(
-        _zeta_tail_from_start(model, np.abs(rewards.g), start, horizon_steps, [n])[0]
-    )
+    return _running_max_tail(model, np.abs(rewards.g), horizon_steps, [n])[:, 0]
 
 
 def expected_running_max(
-    model: MarkovModel, magnitude, start: int, horizon_steps: int
-) -> float:
-    """Exact E^start[ max_{k <= T} magnitude(X_k) ] by the same augmentation."""
+    model: MarkovModel, magnitude, horizon_steps: int
+) -> np.ndarray:
+    """Exact E^x[ max_{k <= T} magnitude(X_k) ] per start x."""
     mag = np.asarray(magnitude, dtype=float)
-    return float(
-        _zeta_tail_from_start(model, mag, start, horizon_steps, [-np.inf])[0]
-    )
+    return _running_max_tail(model, mag, horizon_steps, [-np.inf])[:, 0]
 
-
-# -- taboo probabilities and the (B)-family -------------------------------------
 
 def survival_probability(model: MarkovModel, inside, steps: int) -> np.ndarray:
     """gamma_T(x, U) = P^x{ X stays in U through step T }, zero off U.
 
     ``inside`` is U, as a boolean mask or as state indices.
     """
-    mask = region_mask(model, inside)
-    out = np.zeros(model.n_states)
-    if mask.any():
-        sub = model.kernel[np.ix_(mask, mask)]
-        ones = np.ones(mask.sum())
-        for _ in range(steps):
-            ones = sub @ ones
-        out[mask] = ones
-    return out
+    keep = region_mask(model, inside)[:, None]
+    return _taboo_sweep(model.kernel, keep, keep, steps)[:, 0]
 
 
 def _snell_sup(model: MarkovModel, payoff: np.ndarray, steps: int) -> np.ndarray:
-    """sup over stopping times tau <= T of E^x[ payoff(X_tau) ]."""
+    """sup over stopping times tau <= T of E^x[ payoff(X_tau) ], one column
+    per payoff when ``payoff`` is (n, K)."""
     v = payoff.copy()
     for _ in range(steps):
         v = np.maximum(payoff, model.kernel @ v)
@@ -279,46 +251,28 @@ def b_family_diagnostics(
     if thresholds is None:
         thresholds = np.unique(np.concatenate([[0.0], np.unique(g_abs)]))
     thresholds = np.asarray(thresholds, dtype=float)
+    rows = np.flatnonzero(probe)
 
     # (B)_T itself: sup over the probe ball of the exact zeta tail
-    zeta = np.zeros(len(thresholds))
-    for y in np.flatnonzero(probe):
-        zeta = np.maximum(
-            zeta, _zeta_tail_from_start(model, g_abs, int(y), horizon_steps, thresholds)
-        )
-
-    # survival probabilities per nested set
-    gam = [survival_probability(model, m, horizon_steps) for m in masks]
+    zeta = _running_max_tail(model, g_abs, horizon_steps, thresholds)[rows].max(axis=0)
 
     # first sufficiency sum: shell increments of survival times max |g|
-    b1_terms = []
-    prev = np.zeros(model.n_states)
-    for m, gcur in zip(masks, gam):
-        inc = float(np.max((gcur - prev)[probe]))
-        b1_terms.append(max(inc, 0.0) * float(g_abs[m].max()))
-        prev = gcur
-    b1_terms = np.array(b1_terms)
+    nested = np.stack(masks, axis=1)
+    gam = _taboo_sweep(model.kernel, nested, nested, horizon_steps)
+    inc = np.diff(gam[rows], axis=1, prepend=0.0).max(axis=0)
+    b1_terms = np.maximum(inc, 0.0) * np.array([g_abs[m].max() for m in masks])
 
     # second sufficiency sum over shells K_{i+1} \ K_i
-    shells = []
-    b2_terms = []
-    for a, b_ in zip(masks, masks[1:]):
-        shell = b_ & ~a
-        if not shell.any():
-            continue
-        shells.append(shell)
-        stay_out = survival_probability(model, ~shell, horizon_steps)
-        hit = 1.0 - stay_out
-        b2_terms.append(float(g_abs[shell].max()) * float(hit[probe].max()))
-    b2_terms = np.array(b2_terms)
+    shells = [b_ & ~a for a, b_ in zip(masks, masks[1:]) if np.any(b_ & ~a)]
+    b2_terms = np.array([])
+    if shells:
+        shell = np.stack(shells, axis=1)
+        hit = _taboo_sweep(model.kernel, ~shell, shell, horizon_steps)
+        b2_terms = np.array([g_abs[s].max() for s in shells]) * hit[rows].max(axis=0)
 
     # sup over bounded stopping times of truncated-terminal expectations
-    a_vals = np.array(
-        [
-            float(_snell_sup(model, g_abs * (g_abs > n), horizon_steps)[probe].max())
-            for n in thresholds
-        ]
-    )
+    tails = g_abs[:, None] * (g_abs[:, None] > thresholds[None, :])
+    a_vals = _snell_sup(model, tails, horizon_steps)[rows].max(axis=0)
 
     if model.coords is not None:
         dists = np.linalg.norm(
@@ -328,35 +282,18 @@ def b_family_diagnostics(
             radii = np.unique(dists)
         radii = np.asarray(radii, dtype=float)
         b_vals = np.zeros((len(thresholds), len(radii)))
+        own = (rows, np.arange(len(rows)))
         for i, n in enumerate(thresholds):
-            capped = g_abs * (g_abs <= n)
+            capped = (g_abs * (g_abs <= n))[:, None]
             for j, R in enumerate(radii):
-                best = 0.0
-                for y in np.flatnonzero(probe):
-                    payoff = capped * (dists[y] >= R)
-                    best = max(
-                        best, float(_snell_sup(model, payoff, horizon_steps)[y])
-                    )
-                b_vals[i, j] = best
+                payoff = capped * (dists[rows].T >= R)   # one column per probe
+                b_vals[i, j] = _snell_sup(model, payoff, horizon_steps)[own].max()
         norms = np.linalg.norm(model.coords, axis=1)
         cutoffs = np.unique(norms)
-        b3 = np.zeros(len(cutoffs))
-        for y in np.flatnonzero(probe):
-            levels, lvl = _level_map(norms)
-            dist = _running_max_distribution(
-                model.kernel, lvl, len(levels), int(y), horizon_steps
-            )
-            gstar_level = np.array(
-                [float(g_abs[norms <= r].max()) for r in levels]
-            )
-            mass = dist.sum(axis=0)
-            vals = np.array(
-                [
-                    float(((levels > N) * gstar_level * mass).sum())
-                    for N in cutoffs
-                ]
-            )
-            b3 = np.maximum(b3, vals)
+        gstar = np.array([g_abs[norms <= r].max() for r in cutoffs])
+        b3 = _running_max_tail(
+            model, norms, horizon_steps, cutoffs, weight=gstar
+        )[rows].max(axis=0)
     else:
         radii = None
         b_vals = None
@@ -373,7 +310,7 @@ def b_family_diagnostics(
         b1_terms=b1_terms,
         b1_sum=float(b1_terms.sum()),
         b2_terms=b2_terms,
-        b2_sum=float(b2_terms.sum()) if len(b2_terms) else 0.0,
+        b2_sum=float(b2_terms.sum()),
         b3_cutoffs=cutoffs,
         b3_tail=b3,
     )

@@ -77,7 +77,10 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
     """
     if fmt not in ("csv", "json"):
         raise IoError(f"unknown report format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
     written = []
     for name, payload in results.items():
         if isinstance(payload, tuple):

@@ -92,3 +92,64 @@ def hitting_probability(kernel, region):
         A = np.eye(mid.sum()) - kernel[np.ix_(mid, mid)]
         h[mid] = np.linalg.solve(A, kernel[np.ix_(mid, region)].sum(axis=1))
     return h
+
+
+def level_map(values):
+    levels = np.unique(values)
+    lvl = np.searchsorted(levels, values)
+    return levels, lvl
+
+
+def running_max_distribution(kernel, lvl, n_levels, start, steps):
+    """Distribution of (X_T, max running level) started at ``start``, stepped
+    forward on the states x levels augmented chain."""
+    n = kernel.shape[0]
+    dist = np.zeros((n, n_levels))
+    dist[start, lvl[start]] = 1.0
+    level_idx = np.arange(n_levels)
+    for _ in range(steps):
+        dist = kernel.T @ dist
+        # fold levels below the landing state's own level into it
+        folded = np.zeros_like(dist)
+        for y in range(n):
+            ly = lvl[y]
+            folded[y, ly] = dist[y, : ly + 1].sum()
+            folded[y, level_idx > ly] = dist[y, level_idx > ly]
+        dist = folded
+    return dist
+
+
+def augmented_zeta_tail(kernel, magnitude, start, steps, thresholds):
+    """E^start[ zeta 1{zeta > n} ] per threshold n, zeta the running max of
+    ``magnitude``, from the augmented chain."""
+    levels, lvl = level_map(magnitude)
+    dist = running_max_distribution(kernel, lvl, len(levels), start, steps)
+    mass_per_level = dist.sum(axis=0)
+    return np.array(
+        [float(((levels > n) * levels * mass_per_level).sum()) for n in thresholds]
+    )
+
+
+def augmented_b3_tail(kernel, norms, g_abs, start, steps):
+    """E^start[ g*(M_T) 1{M_T > N} ] per cutoff N among the norm levels, M_T
+    the running max of the norm and g*(r) = max |g| over {norm <= r}."""
+    levels, lvl = level_map(norms)
+    dist = running_max_distribution(kernel, lvl, len(levels), start, steps)
+    gstar_level = np.array([float(g_abs[norms <= r].max()) for r in levels])
+    mass = dist.sum(axis=0)
+    return np.array(
+        [float(((levels > N) * gstar_level * mass).sum()) for N in levels]
+    )
+
+
+def submatrix_survival(kernel, mask, steps):
+    """P^x{X stays in mask through step T}, from powers of the taboo
+    submatrix; zero off the mask."""
+    out = np.zeros(kernel.shape[0])
+    if mask.any():
+        sub = kernel[np.ix_(mask, mask)]
+        ones = np.ones(mask.sum())
+        for _ in range(steps):
+            ones = sub @ ones
+        out[mask] = ones
+    return out

@@ -107,7 +107,7 @@ def test_criterion_4_truncation_bound():
             clamped = solve_truncated(model, rewards, T, float(n))
             for x in range(model.n_states):
                 gap = abs(plain.surface[T, x] - clamped.surface[T, x])
-                bound = truncation_gap_bound(model, rewards, T, float(n), x)
+                bound = truncation_gap_bound(model, rewards, T, float(n))[x]
                 assert gap <= bound + 1e-9
         count += 1
     assert count >= 50
@@ -129,7 +129,7 @@ def test_criterion_4_truncation_bound():
         plain = solve_finite_horizon(model, rewards, T)
         clamped = solve_truncated(model, rewards, T, level)
         gap = abs(plain.surface[T, spike] - clamped.surface[T, spike])
-        bound = truncation_gap_bound(model, rewards, T, level, spike)
+        bound = truncation_gap_bound(model, rewards, T, level)[spike]
         assert bound <= 10.0 * gap
         ratios.append(bound / gap)
     print(f"criterion 4: PASS ({count} sandwich instances; spike tightness "

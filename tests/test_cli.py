@@ -152,6 +152,27 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys, module, name, v
     assert "NumericalFailure" in capsys.readouterr().err
 
 
+def test_singular_solve_exit_3(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    out = str(tmp_path / "out")
+    assert run(["solve-infinite", "--model", write_chain_a(tmp_path), "--out", out]) == 3
+    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    assert verdict["verdict"] == "NumericalFailure"
+    assert "Singular matrix" in verdict["message"]
+    assert "NumericalFailure" in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert run(["solve-infinite", "--model", write_chain_a(tmp_path), "--out", out]) == 1
+    assert "IoError" in capsys.readouterr().err
+
+
 def test_input_error_exit_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[]")

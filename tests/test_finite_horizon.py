@@ -13,7 +13,7 @@ from ergostop import (
     survival_probability,
     truncation_gap_bound,
 )
-from ergostop.errors import AugmentationTooLarge, BadNesting
+from ergostop.errors import BadNesting
 from oracles import exhaustive_finite_horizon, rule_forward_reach
 
 
@@ -112,17 +112,17 @@ def test_chain_a_truncation_sandwich(chain_a, chain_a_rewards):
     clamped = solve_truncated(chain_a, chain_a_rewards, T, n=3.0)
     assert (clamped.surface[T] <= plain.surface[T] + 1e-12).all()
     for x in range(2):
-        bound = truncation_gap_bound(chain_a, chain_a_rewards, T, 3.0, x)
+        bound = truncation_gap_bound(chain_a, chain_a_rewards, T, 3.0)[x]
         assert abs(plain.surface[T, x] - clamped.surface[T, x]) <= bound + 1e-12
 
 
 def test_truncation_gap_bound_examples(chain_a, chain_a_rewards):
-    assert truncation_gap_bound(chain_a, chain_a_rewards, 5, 5.0, 0) == 0.0
+    assert truncation_gap_bound(chain_a, chain_a_rewards, 5, 5.0)[0] == 0.0
     # zero horizon: |g(start)| 1{|g(start)| > n}
-    assert truncation_gap_bound(chain_a, chain_a_rewards, 0, 3.0, 1) == 5.0
-    assert truncation_gap_bound(chain_a, chain_a_rewards, 0, 3.0, 0) == 0.0
+    assert truncation_gap_bound(chain_a, chain_a_rewards, 0, 3.0)[1] == 5.0
+    assert truncation_gap_bound(chain_a, chain_a_rewards, 0, 3.0)[0] == 0.0
     # two-step path enumeration oracle: 5 * (1 - 0.6^2) = 3.2
-    assert truncation_gap_bound(chain_a, chain_a_rewards, 2, 3.0, 0) == pytest.approx(
+    assert truncation_gap_bound(chain_a, chain_a_rewards, 2, 3.0)[0] == pytest.approx(
         3.2, abs=1e-12
     )
 
@@ -138,21 +138,9 @@ def test_truncation_sandwich_on_corpus():
         for n in levels:
             clamped = solve_truncated(m, rw, T, float(n))
             for x in range(m.n_states):
-                bound = truncation_gap_bound(m, rw, T, float(n), x)
+                bound = truncation_gap_bound(m, rw, T, float(n))[x]
                 gap = abs(plain.surface[T, x] - clamped.surface[T, x])
                 assert gap <= bound + 1e-9
-
-
-def test_augmentation_cap_is_explicit(chain_b, chain_b_rewards):
-    from ergostop import finite_horizon
-
-    old = finite_horizon.AUGMENTATION_CAP
-    finite_horizon.AUGMENTATION_CAP = 10
-    try:
-        with pytest.raises(AugmentationTooLarge):
-            truncation_gap_bound(chain_b, chain_b_rewards, 3, 0.5, 0)
-    finally:
-        finite_horizon.AUGMENTATION_CAP = old
 
 
 def test_supermartingale_strictly_losing(chain_a):
@@ -185,7 +173,7 @@ def test_value_magnitude_bound(chain_b, chain_b_rewards):
     T = 9
     sol = solve_finite_horizon(chain_b, chain_b_rewards, T)
     zeta = max(
-        expected_running_max(chain_b, np.abs(chain_b_rewards.g), x, T)
+        expected_running_max(chain_b, np.abs(chain_b_rewards.g), T)[x]
         for x in range(chain_b.n_states)
     )
     bound = np.abs(chain_b_rewards.f).max() * T * chain_b.dt + zeta

@@ -76,11 +76,11 @@ def _digest(path) -> str:
 
 def _parse_indices(text: str, model) -> list[int]:
     out = []
+    names = [str(s) for s in model.states]
     for token in text.split(","):
         token = token.strip()
         if token == "":
             continue
-        names = [str(s) for s in model.states]
         if token in names:
             out.append(names.index(token))
         else:
@@ -218,6 +218,7 @@ def _verdict(args, exc, started, t0) -> int:
 def _dispatch(args):
     mf = load_model_file(args.model, dt_override=args.dt)
     model = mf.model
+    names = np.array(model.states, dtype=object)  # not coerced: mixed names keep types
     if args.command == "solve":
         _require_rewards(mf)
         rewards = make_rewards(model, mf.f, mf.g)
@@ -232,11 +233,9 @@ def _dispatch(args):
         else:
             sol = solve_finite_horizon(model, rewards, steps)
         sup = check_supermartingale(model, rewards, sol)
-        rows = [
-            (model.states[x], k, sol.surface[k, x], int(sol.rule[k, x]))
-            for k in range(sol.horizon_steps + 1)
-            for x in range(model.n_states)
-        ]
+        times = sol.horizon_steps + 1
+        columns = (np.tile(names, times), np.repeat(np.arange(times), model.n_states),
+                   sol.surface.ravel(), sol.rule.ravel())
         diag = {
             "max_residual": sup.max_residual,
             "max_continuation_gap": sup.max_continuation_gap,
@@ -247,7 +246,7 @@ def _dispatch(args):
             diag["truncation_gap_bounds"] = truncation_gap_bound(
                 model, rewards, steps, args.truncate
             )
-        return {"surface": (("state", "k", "w_k", "stop_flag"), rows),
+        return {"surface": (("state", "k", "w_k", "stop_flag"), columns),
                 "diagnostics": diag}, None
 
     if args.command == "solve-infinite":
@@ -255,14 +254,10 @@ def _dispatch(args):
         rewards = make_rewards(model, mf.f, mf.g)
         sol = solve_infinite_horizon(model, rewards, delta=args.delta)
         header = ["state", "w", "stop", "gamma", "Z", "expected_tau"]
-        cols = [sol.w, sol.region, sol.gamma, sol.Z, sol.expected_tau]
+        columns = [names, sol.w, sol.region, sol.gamma, sol.Z, sol.expected_tau]
         if args.eps is not None:
             header.append("stop_eps")
-            cols.append(stopping_rule_eps(sol, args.eps))
-        rows = [
-            (model.states[x], *[c[x] if c.dtype != bool else int(c[x]) for c in cols])
-            for x in range(model.n_states)
-        ]
+            columns.append(stopping_rule_eps(sol, args.eps))
         record = {
             "certified": sol.certified,
             "fixed_point_residual": sol.fixed_point_residual,
@@ -270,7 +265,7 @@ def _dispatch(args):
             "delta": args.delta,
             "d": sol.d,
         }
-        return {"values": (tuple(header), rows), "certification": record}, None
+        return {"values": (tuple(header), columns), "certification": record}, None
 
     if args.command == "oracle-check":
         _require_rewards(mf)
@@ -293,7 +288,7 @@ def _dispatch(args):
         return {"oracle_check": record}, None
 
     if args.command == "diagnose":
-        return _diagnose(args, mf)
+        return _diagnose(args, mf, names)
 
     if args.command == "simulate":
         _require_rewards(mf)
@@ -307,10 +302,6 @@ def _dispatch(args):
         gap = terminal_truncation_gap(
             model, rewards, region, start, horizons, args.paths, args.seed + 1
         )
-        rows = [
-            (h, est.estimates[i], est.std_errors[i], gap.gminus_terms[i], gap.gaps[i])
-            for i, h in enumerate(est.horizons)
-        ]
         record = {
             "liminf_window": est.liminf_window,
             "limsup_window": est.limsup_window,
@@ -320,7 +311,7 @@ def _dispatch(args):
         return {
             "estimates": (
                 ("horizon", "estimate", "std_error", "gminus_term", "cap_gap"),
-                rows,
+                (est.horizons, est.estimates, est.std_errors, gap.gminus_terms, gap.gaps),
             ),
             "verdicts": record,
         }, args.seed
@@ -330,31 +321,28 @@ def _dispatch(args):
         mu = stationary_distribution(model)
         center = _parse_indices(args.center, model)[0]
         comp = compactify_running_reward(model, mf.f, mu, center=center)
-        rows = [
-            (model.states[x], mf.f[x], comp.z[x], comp.f_hat[x], comp.f_bar[x])
-            for x in range(model.n_states)
-        ]
+        columns = (names, mf.f, comp.z, comp.f_hat, comp.f_bar)
         record = {
             "N": comp.N,
             "center": model.states[comp.center],
             "mu_f": float(mu.weights @ mf.f),
             "mu_f_bar": comp.mu_f_bar,
         }
-        return {"compactified": (("state", "f", "z", "f_hat", "f_bar"), rows),
+        return {"compactified": (("state", "f", "z", "f_hat", "f_bar"), columns),
                 "summary": record}, None
 
     raise ConflictingFlags(f"unknown command {args.command}")
 
 
-def _diagnose(args, mf):
+def _diagnose(args, mf, names):
     model = mf.model
     mu = stationary_distribution(model)
     if args.check == "poisson":
         _require_rewards(mf, need_g=False)
         zp = zero_potential(model, mf.f, mu)
-        rows = [(model.states[x], zp.q[x]) for x in range(model.n_states)]
         record = {"residual": zp.residual, "centred": zp.centred}
-        return {"zero_potential": (("state", "q"), rows), "poisson": record}, None
+        return {"zero_potential": (("state", "q"), (names, zp.q)),
+                "poisson": record}, None
     if args.check == "tv":
         probes = (
             _parse_indices(args.probe, model)
@@ -365,18 +353,15 @@ def _diagnose(args, mf):
         profile = fit_ergodic_bound(
             tv_distance_curve(model, mu, probes, max_time)
         )
-        rows = [
-            (model.states[probes[i]], profile.times[k], profile.tv[i, k])
-            for i in range(len(probes))
-            for k in range(len(profile.times))
-        ]
+        columns = (np.repeat(names[probes], len(profile.times)),
+                   np.tile(profile.times, len(probes)), profile.tv.ravel())
         record = {
             "K": profile.K,
             "integral_h": profile.integral_h,
             "tail_ratio": profile.tail_ratio,
             "a2_plausible": profile.a2_plausible,
         }
-        return {"tv_curve": (("state", "t", "tv"), rows), "ergodic_fit": record}, None
+        return {"tv_curve": (("state", "t", "tv"), columns), "ergodic_fit": record}, None
     if args.check == "dynkin":
         _require_rewards(mf, need_g=False)
         if args.region is None:

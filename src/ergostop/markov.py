@@ -276,29 +276,19 @@ def surely_hits(kernel: np.ndarray, region) -> np.ndarray:
 def chain_period(kernel: np.ndarray) -> int:
     """Period of an irreducible chain: gcd of cycle lengths on the edge graph.
 
-    Computed by BFS leveling; for each edge u -> v the difference
+    Breadth-first levels from state 0, one boolean frontier per level as in
+    ``reaches``; for each edge u -> v out of a reached state the difference
     level(u) + 1 - level(v) is a cycle-length residue.
     """
     adj = adjacency(kernel)
-    n = kernel.shape[0]
-    level = np.full(n, -1)
-    level[0] = 0
-    frontier = [0]
-    order = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-                    order.append(v)
-        frontier = nxt
-    g = 0
-    for u in order:
-        for v in np.flatnonzero(adj[u]):
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g else 0
+    level = np.full(kernel.shape[0], -1)
+    new, depth = np.array([0]), 0
+    while len(new):
+        level[new] = depth
+        (new,) = (np.logical_or.reduce(adj[new], axis=0) & (level < 0)).nonzero()
+        depth += 1
+    u, v = np.nonzero(adj & (level >= 0)[:, None])
+    return int(abs(np.gcd.reduce(level[u] + 1 - level[v])))
 
 
 # -- operations ---------------------------------------------------------------

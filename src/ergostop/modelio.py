@@ -1,6 +1,7 @@
 """Model file loading: JSON with states, kernel or generator, and rewards.
 
-Schema: ``states`` (array of names), exactly one of ``kernel`` or
+Schema: ``states`` (array of names: strings or numbers, distinct as CSV
+text, with no comma or line break), exactly one of ``kernel`` or
 ``generator`` (row-major matrices, one row per state in ``states`` order),
 ``dt`` (number), optional ``coords`` (array of number arrays), optional
 ``f`` and ``g`` (number arrays, consumed by the reward-bearing solvers).
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import ParseError
 from .markov import MarkovModel, build_dtmc, build_from_generator
+from .report import format_value
 
 
 @dataclass
@@ -40,6 +42,14 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
     states = raw.get("states")
     if not isinstance(states, list) or not states:
         raise ParseError(f"{path}: field 'states' must be a nonempty array")
+    texts = [format_value(s) for s in states]
+    for name, text in zip(states, texts):
+        if isinstance(name, bool) or not isinstance(name, (str, int, float)):
+            raise ParseError(f"{path}: state name {name!r} is not a string or number")
+        if "," in text or "\n" in text or "\r" in text:
+            raise ParseError(f"{path}: state name {text!r} holds a comma or line break")
+    if len(set(texts)) < len(texts):
+        raise ParseError(f"{path}: state names are not distinct as CSV text")
     has_kernel = "kernel" in raw
     has_generator = "generator" in raw
     if has_kernel == has_generator:

@@ -1,12 +1,14 @@
 """Report emission: CSV tables and JSON records with stable formatting.
 
 Floats are serialized with 17 significant digits so exact-solver outputs are
-byte-identical across runs; non-finite values use the tokens ``-inf``,
-``inf``, ``nan`` (as strings inside JSON, which has no literals for them).
+byte-identical across runs, and bools as 0/1; non-finite values use the
+tokens ``-inf``, ``inf``, ``nan`` (as strings inside JSON, which has no
+literals for them).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from .errors import IoError
 
 
 def format_value(v) -> str:
+    """Table text of one value, decided from its own type."""
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -26,54 +29,64 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a table with a fixed column order."""
+def _column(col):
+    """One table column as plain values and the function that writes each
+    as text, decided once for the whole column: floats keep 17 significant
+    digits, bools become 0/1, ints are written by ``str``. Any other column,
+    in practice state names, goes value by value through ``format_value``."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+    if kind == "b":
+        col, kind = col.view(np.uint8), "u"
+    if kind == "f":
+        return col.tolist(), "{:.17g}".format
+    if kind in "iu":
+        return col.tolist(), str
+    return col, format_value
+
+
+def _write(path, chunks) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a table with a fixed column order, one column per header name;
+    the rows are built as they are written."""
+    cells = [map(text, values) for values, text in map(_column, columns)]
+    rows = itertools.chain([header], zip(*cells, strict=True))
+    _write(path, (",".join(row) + "\n" for row in rows))
 
 
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
 def write_json(path, record) -> None:
     """Write a structured record; keys keep insertion order."""
-    try:
-        with open(path, "w") as fh:
-            json.dump(_jsonable(record), fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    chunks = json.JSONEncoder(indent=2).iterencode(_jsonable(record))
+    _write(path, itertools.chain(chunks, ["\n"]))
 
 
 def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
     """Emit named tables/records from ``results`` in the requested format.
 
-    ``results`` maps a base name to either (header, rows) for tables or a
-    dict for records. Tables become CSV (or long-format JSON); records
-    become JSON regardless. Returns the written paths.
+    ``results`` maps a base name to either (header, columns) for tables, one
+    equal-length array or sequence per header name, or a dict for records.
+    Tables become CSV or long-format JSON (one record per row), each column
+    written as ``_column`` decides; records become JSON. Returns the paths.
     """
     if fmt not in ("csv", "json"):
         raise IoError(f"unknown report format {fmt!r}")
@@ -83,16 +96,15 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     written = []
     for name, payload in results.items():
-        if isinstance(payload, tuple):
-            header, rows = payload
-            if fmt == "csv":
-                path = os.path.join(out_dir, f"{name}.csv")
-                write_csv(path, header, rows)
-            else:
-                path = os.path.join(out_dir, f"{name}.json")
-                write_json(path, [dict(zip(header, row)) for row in rows])
+        table = isinstance(payload, tuple)
+        path = os.path.join(out_dir, f"{name}.{fmt if table else 'json'}")
+        if table and fmt == "csv":
+            write_csv(path, *payload)
+        elif table:
+            header, columns = payload
+            rows = zip(*(values for values, _ in map(_column, columns)), strict=True)
+            write_json(path, [dict(zip(header, row)) for row in rows])
         else:
-            path = os.path.join(out_dir, f"{name}.json")
             write_json(path, payload)
         written.append(path)
     return written

@@ -1,5 +1,7 @@
 """Independent oracles: brute force only, no shared code paths with the solvers."""
 
+import math
+
 import numpy as np
 
 
@@ -153,3 +155,55 @@ def submatrix_survival(kernel, mask, steps):
             ones = sub @ ones
         out[mask] = ones
     return out
+
+
+def bfs_chain_period(adj):
+    """Period of the edge matrix ``adj`` from a per-state, per-edge
+    breadth-first leveling from state 0: gcd over the edges u -> v of
+    level(u) + 1 - level(v)."""
+    n = adj.shape[0]
+    level = np.full(n, -1)
+    level[0] = 0
+    frontier = [0]
+    order = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.flatnonzero(adj[u]):
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+                    order.append(v)
+        frontier = nxt
+    g = 0
+    for u in order:
+        for v in np.flatnonzero(adj[u]):
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g else 0
+
+
+def row_format_value(v):
+    """CSV text of one table value, decided from its own type."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    return str(v)
+
+
+def table_rows(columns):
+    """One tuple per row, with bool columns turned into ints."""
+    columns = [
+        [int(b) for b in c] if isinstance(c, np.ndarray) and c.dtype == bool else c
+        for c in columns
+    ]
+    return list(zip(*columns))
+
+
+def row_csv_text(header, rows):
+    """A CSV table written row by row and value by value."""
+    lines = [",".join(header)]
+    lines += [",".join(row_format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

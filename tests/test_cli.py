@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +47,12 @@ def write_chain_b_generator(tmp_path, dt=0.5):
     return str(path)
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 def read_csv(path):
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
@@ -76,6 +81,26 @@ def test_load_model_file_rejects_both_matrices(tmp_path):
         load_model_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "states",
+    [["a", "a"], [1, "1"], [1, 1.0], ["a,b", "c"], ["x\ny", "z"], ["x\ry", "z"],
+     [[1, 2], "c"], [{"a": 1}, "c"], [None, "c"], [True, "c"]],
+    ids=["duplicate", "duplicate-int-str", "duplicate-int-float", "comma",
+         "newline", "carriage-return", "list", "object", "null", "bool"],
+)
+def test_load_model_file_rejects_state_names_that_break_tables(tmp_path, states):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "states": states, "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+        "f": list(CHAIN_A_F), "g": list(CHAIN_A_G),
+    }))
+    with pytest.raises(ParseError):
+        load_model_file(str(path))
+    out = str(tmp_path / "out")
+    assert run(["solve-infinite", "--model", str(path), "--out", out]) == 1
+    assert not os.path.exists(out)
+
+
 def test_solve_command(tmp_path, capsys):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")
@@ -86,7 +111,7 @@ def test_solve_command(tmp_path, capsys):
     values = {(r[0], int(r[1])): float(r[2]) for r in rows}
     assert values[("0", 3)] == pytest.approx(7.84)
     assert values[("1", 3)] == pytest.approx(5.0)
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = read_json(os.path.join(out, "manifest.json"))
     assert manifest["command"] == "solve"
     assert len(manifest["model_digest"]) == 64
 
@@ -97,8 +122,8 @@ def test_solve_outputs_are_byte_identical(tmp_path):
     assert run(["solve", "--model", model, "--horizon", "5", "--out", out1]) == 0
     assert run(["solve", "--model", model, "--horizon", "5", "--out", out2]) == 0
     for name in ("surface.csv", "diagnostics.json"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b
 
 
@@ -115,7 +140,7 @@ def test_solve_infinite_command(tmp_path):
     assert float(by_state["0"][1]) == pytest.approx(10.0)
     assert by_state["0"][2] == "0" and by_state["1"][2] == "1"
     assert by_state["0"][6] == "0"  # eps = 6 does not reach state 0
-    cert = json.load(open(os.path.join(out, "certification.json")))
+    cert = read_json(os.path.join(out, "certification.json"))
     assert cert["certified"] is True
 
 
@@ -124,7 +149,7 @@ def test_solve_infinite_drift_verdict_exit_2(tmp_path):
     out = str(tmp_path / "out")
     code = run(["solve-infinite", "--model", model, "--out", out])
     assert code == 2
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    verdict = read_json(os.path.join(out, "verdict.json"))
     assert verdict["verdict"] == "DriftNotNegative"
 
 
@@ -147,7 +172,7 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys, module, name, v
     monkeypatch.setattr(module, name, value)
     out = str(tmp_path / "out")
     assert run([*argv, "--model", str(path), "--out", out]) == 3
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    verdict = read_json(os.path.join(out, "verdict.json"))
     assert verdict["verdict"] == "NumericalFailure"
     assert "NumericalFailure" in capsys.readouterr().err
 
@@ -159,7 +184,7 @@ def test_singular_solve_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "solve", singular)
     out = str(tmp_path / "out")
     assert run(["solve-infinite", "--model", write_chain_a(tmp_path), "--out", out]) == 3
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    verdict = read_json(os.path.join(out, "verdict.json"))
     assert verdict["verdict"] == "NumericalFailure"
     assert "Singular matrix" in verdict["message"]
     assert "NumericalFailure" in capsys.readouterr().err
@@ -198,7 +223,7 @@ def test_dt_override_allowed_for_generator_model(tmp_path):
         "solve-infinite", "--model", model, "--dt", "0.2", "--out", out,
     ])
     assert code == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = read_json(os.path.join(out, "manifest.json"))
     assert manifest["config"]["dt"] == 0.2
 
 
@@ -206,7 +231,7 @@ def test_oracle_check_command(tmp_path):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")
     assert run(["oracle-check", "--model", model, "--out", out]) == 0
-    rec = json.load(open(os.path.join(out, "oracle_check.json")))
+    rec = read_json(os.path.join(out, "oracle_check.json"))
     assert rec["agree"] is True
     assert rec["max_diff"] <= 1e-8
 
@@ -218,7 +243,7 @@ def test_diagnose_poisson(tmp_path):
     header, rows = read_csv(os.path.join(out, "zero_potential.csv"))
     q = {r[0]: float(r[1]) for r in rows}
     assert q["0"] == pytest.approx(20 / 3)
-    rec = json.load(open(os.path.join(out, "poisson.json")))
+    rec = read_json(os.path.join(out, "poisson.json"))
     assert rec["residual"] <= 1e-10
 
 
@@ -229,7 +254,7 @@ def test_diagnose_tv(tmp_path):
         "diagnose", "--check", "tv", "--model", model, "--max-time", "10",
         "--out", out,
     ]) == 0
-    fit = json.load(open(os.path.join(out, "ergodic_fit.json")))
+    fit = read_json(os.path.join(out, "ergodic_fit.json"))
     assert fit["a2_plausible"] is True
     assert abs(fit["tail_ratio"] - 0.4) < 1e-6
 
@@ -242,7 +267,7 @@ def test_diagnose_dynkin(tmp_path):
         "--start", "0", "--cap", "50", "--paths", "20000", "--seed", "3",
         "--out", out,
     ]) == 0
-    rec = json.load(open(os.path.join(out, "dynkin.json")))
+    rec = read_json(os.path.join(out, "dynkin.json"))
     assert rec["verdict"] == "PASS"
     assert rec["reference"] == pytest.approx(20 / 3)
 
@@ -254,7 +279,7 @@ def test_simulate_command(tmp_path):
         "simulate", "--model", model, "--region", "1", "--start", "0",
         "--horizons", "4,8,16", "--paths", "5000", "--seed", "5", "--out", out,
     ]) == 0
-    verdicts = json.load(open(os.path.join(out, "verdicts.json")))
+    verdicts = read_json(os.path.join(out, "verdicts.json"))
     assert verdicts["truncation_verdict"] == "PASS"
     header, rows = read_csv(os.path.join(out, "estimates.csv"))
     assert header[0] == "horizon" and len(rows) == 3
@@ -271,29 +296,29 @@ def test_compactify_command(tmp_path):
     }))
     out = str(tmp_path / "out")
     assert run(["compactify", "--model", str(path), "--out", out]) == 0
-    rec = json.load(open(os.path.join(out, "summary.json")))
+    rec = read_json(os.path.join(out, "summary.json"))
     assert rec["mu_f_bar"] <= rec["mu_f"] / 2
 
 
 def test_emit_report_empty_table(tmp_path):
     paths = emit_report({"empty": (("a", "b"), [])}, str(tmp_path), "csv")
-    content = open(paths[0]).read()
+    content = Path(paths[0]).read_text()
     assert content == "a,b\n"
 
 
 def test_report_minus_infinity_token(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(str(path), ("v",), [(-np.inf,)])
-    assert open(path).read().splitlines()[1] == "-inf"
+    assert Path(path).read_text().splitlines()[1] == "-inf"
     paths = emit_report({"rec": {"v": -np.inf}}, str(tmp_path), "json")
-    assert json.load(open(paths[0]))["v"] == "-inf"
+    assert read_json(paths[0])["v"] == "-inf"
 
 
 def test_report_seventeen_digit_roundtrip(tmp_path):
     value = 1 / 3 + 1e-16
     path = tmp_path / "r.csv"
     write_csv(str(path), ("v",), [(value,)])
-    back = float(open(path).read().splitlines()[1])
+    back = float(Path(path).read_text().splitlines()[1])
     assert back == value
 
 
@@ -304,5 +329,5 @@ def test_json_format_tables(tmp_path):
         "solve", "--model", model, "--horizon", "2", "--out", out,
         "--format", "json",
     ]) == 0
-    rows = json.load(open(os.path.join(out, "surface.json")))
+    rows = read_json(os.path.join(out, "surface.json"))
     assert rows[0]["state"] == "0" and "w_k" in rows[0]

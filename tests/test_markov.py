@@ -32,7 +32,12 @@ from ergostop.markov import (
     simulate_block,
     surely_hits,
 )
-from oracles import closure_recurrent_classes, hitting_probability, transitive_closure
+from oracles import (
+    bfs_chain_period,
+    closure_recurrent_classes,
+    hitting_probability,
+    transitive_closure,
+)
 
 
 def test_build_dtmc_chain_a(chain_a):
@@ -184,6 +189,40 @@ def test_graph_functions_match_closure_references():
         np.testing.assert_array_equal(
             surely_hits(K, region), hitting_probability(K, region) > 1.0 - 1e-9
         )
+
+
+def _cyclic_kernel(rng, period, blocks, self_loop):
+    """Irreducible kernel of period ``period``: state i sits in class
+    i % period, the ring i -> i + 1 and the short cycle through states
+    0..period-1 are always edges, and random extra edges run from each class
+    to the next; a self-loop makes the period 1. States are then relabelled
+    at random."""
+    n = period * blocks
+    P = np.zeros((n, n))
+    P[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    P[period - 1, 0] = 1.0
+    nxt = (np.arange(n)[:, None] % period + 1) % period == np.arange(n)[None, :] % period
+    P += nxt * (rng.random((n, n)) < 0.3)
+    if self_loop:
+        x = rng.integers(n)
+        P[x, x] = 1.0
+    perm = rng.permutation(n)
+    P = P[np.ix_(perm, perm)]
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_chain_period_matches_bfs_reference():
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        K = _random_sparse_kernel(rng, int(rng.integers(1, 31)))
+        assert chain_period(K) == bfs_chain_period(adjacency(K))
+    for period in (1, 2, 3, 4, 6):
+        for self_loop in (False, True):
+            for _ in range(20):
+                K = _cyclic_kernel(rng, period, int(rng.integers(1, 8)), self_loop)
+                assert is_irreducible(K)
+                expected = 1 if self_loop else period
+                assert chain_period(K) == bfs_chain_period(adjacency(K)) == expected
 
 
 @pytest.mark.parametrize(

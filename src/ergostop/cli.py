@@ -50,7 +50,7 @@ from .infinite_horizon import (
 from .markov import grid_steps, stationary_distribution
 from .modelio import load_model_file
 from .montecarlo import estimate_functional, terminal_truncation_gap
-from .report import emit_report
+from .report import emit_report, format_value
 from .rewards import make_rewards
 
 
@@ -75,14 +75,23 @@ def _digest(path) -> str:
 
 
 def _parse_indices(text: str, model) -> list[int]:
+    """State indices of a comma list. A token names a state by its ``str``
+    or by its table text (``format_value``), else gives its index; a token
+    that names more than one state is refused."""
+    named = {}
+    for i, s in enumerate(model.states):
+        for name in {str(s), format_value(s)}:
+            named.setdefault(name, []).append(i)
     out = []
-    names = [str(s) for s in model.states]
     for token in text.split(","):
         token = token.strip()
         if token == "":
             continue
-        if token in names:
-            out.append(names.index(token))
+        hits = named.get(token, [])
+        if len(hits) > 1:
+            raise ParseError(f"state {token!r} names states {hits}")
+        if hits:
+            out.append(hits[0])
         else:
             try:
                 idx = int(token)

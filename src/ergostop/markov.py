@@ -9,6 +9,7 @@ are discretized by uniformization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,10 +372,125 @@ def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generat
 
     Streams are keyed by (seed, path, block) through a counter-based
     generator, so parallel and serial simulations produce identical paths.
+    ``path_uniforms`` draws the same streams without building one each.
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=(seed, path_index, block)))
     )
+
+
+# numpy's SeedSequence constants: a pool of four 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value) -> list[int]:
+    """SeedSequence's entropy words of one int: little-endian 32-bit words,
+    ``[0]`` for zero."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's running hash constant, as (current, next) pairs: it
+    does not depend on the data, so every hash step is one vector op."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hash(words: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    words = (words ^ xor) * mult
+    return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ out >> 16
+
+
+def stream_keys(seed: int, path_ids, block: int) -> np.ndarray:
+    """Philox keys of the streams ``path_stream(seed, i, block)``, one row of
+    two uint64 words per path id: ``SeedSequence(entropy=(seed, i, block))``
+    hashed and mixed over uint32 arrays, all ids at once.
+
+    Seeds and blocks of any size keep SeedSequence's word layout; path ids
+    must lie in [0, 2**32), where each is one entropy word.
+    """
+    ids = np.asarray(path_ids)
+    if ids.size and (ids.min() < 0 or ids.max() > _MASK32):
+        raise ValueError("path ids must lie in [0, 2**32)")
+    ids = ids.astype(np.uint32).ravel()
+    entropy = [*(np.full_like(ids, w) for w in _words(seed)), ids,
+               *(np.full_like(ids, w) for w in _words(block))]
+    mixing = _hash_constants(_INIT_A, _MULT_A)
+    # pool words past the entropy hash a zero word
+    pool = [_hash(w, mixing) for w in (entropy + [np.zeros_like(ids)] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], mixing))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, mixing))
+    drawing = _hash_constants(_INIT_B, _MULT_B)
+    w0, w1, w2, w3 = (_hash(w, drawing).astype(np.uint64) for w in pool)
+    return np.stack([w0 | w1 << 32, w2 | w3 << 32], axis=1)
+
+
+def path_uniforms(seed: int, path_ids, block: int, steps: int) -> np.ndarray:
+    """Row r holds ``path_stream(seed, path_ids[r], block).random(steps)``,
+    drawn by one Philox generator that is set to each row's key in turn."""
+    keys = stream_keys(seed, path_ids, block)
+    u = np.empty((len(keys), steps))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # a new stream: counter 0 and an empty buffer, so the first draw is at counter 1
+    fresh = bitgen.state | {"buffer_pos": 4}
+    fresh["state"]["counter"] = [0, 0, 0, 0]
+    for r, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        gen.random(out=u[r])
+    return u
+
+
+def support_tables(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero support as two padded tables: the cumulative sums
+    of its nonzero probabilities, as wide as the widest support, whose
+    padding repeats the row total; and its successor states, one column
+    wider, padded with the row's last nonzero state.
+
+    A zero adds an exact 0.0 to a row's running sum, so comparing a uniform
+    against these cumulative sums picks the state that the full-row inverse
+    CDF picks.
+    """
+    rows, cols = np.nonzero(kernel)
+    counts = np.bincount(rows, minlength=kernel.shape[0])
+    ends = np.cumsum(counts)
+    pos = np.arange(len(rows)) - np.repeat(ends - counts, counts)
+    prob = np.zeros((kernel.shape[0], int(counts.max())))
+    prob[rows, pos] = kernel[rows, cols]
+    cum = np.cumsum(prob, axis=1)
+    succ = np.repeat(cols[ends - 1][:, None], prob.shape[1] + 1, axis=1)
+    succ[rows, pos] = cols
+    return cum, succ
+
+
+def support_step(cum: np.ndarray, succ: np.ndarray, states, u) -> np.ndarray:
+    """Successors of ``states`` on the uniforms ``u``, by the tables of
+    ``support_tables``: the first support state whose cumulative probability
+    exceeds u, or the row's last support state when none does."""
+    return succ[states, (cum[states] <= u[:, None]).sum(axis=1)]
 
 
 def simulate_block(
@@ -382,35 +498,32 @@ def simulate_block(
 ) -> np.ndarray:
     """Step paths from ``states`` for ``steps`` steps; the one simulation engine.
 
-    Row r steps by the inverse CDF of its kernel row on uniforms from
-    ``path_stream(seed, path_ids[r], block)``, so any subset of rows comes out
-    the same drawn alone. Rows in the boolean state mask ``stop`` stay put.
-    Returns the (len(path_ids), steps + 1) state indices, ``states`` first.
+    Row r steps by the inverse CDF of its kernel row, over the row's nonzero
+    support, on the uniforms of ``path_stream(seed, path_ids[r], block)``, so
+    any subset of rows comes out the same drawn alone. Rows in the boolean
+    state mask ``stop`` stay put. Returns the (len(path_ids), steps + 1)
+    state indices, ``states`` first.
     """
-    n = model.n_states
-    cdf = np.cumsum(model.kernel, axis=1)
-    u = np.empty((len(path_ids), steps))
-    for r, i in enumerate(np.asarray(path_ids).tolist()):
-        u[r] = path_stream(seed, i, block).random(steps)
     paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
+    u = path_uniforms(seed, path_ids, block, steps)
+    cum, succ = support_tables(model.kernel)
     state = np.array(states, dtype=np.int64)
     paths[:, 0] = state
-    live = slice(None) if stop is None else np.arange(len(path_ids))
+    live = slice(None) if stop is None else np.arange(len(u))
     for k in range(steps):
         if stop is not None:
             live = live[~stop[state[live]]]
             if not len(live):
                 paths[:, k + 1:] = state[:, None]
                 break
-        state[live] = np.minimum((cdf[state[live]] <= u[live, k, None]).sum(axis=1), n - 1)
+        state[live] = support_step(cum, succ, state[live], u[live, k])
         paths[:, k + 1] = state
     return paths
 
 
-def simulate_paths(
-    model: MarkovModel, start: int, horizon_steps: int, n_paths: int, seed: int
-) -> PathBatch:
-    """Sample n_paths kernel paths from ``start`` on the grid, reproducibly."""
+def batch_starts(model: MarkovModel, start: int, horizon_steps: int, n_paths: int):
+    """Start states of a batch of ``n_paths`` paths from ``start``, after
+    checking the start, the horizon and the path count."""
     n = model.n_states
     if not 0 <= start < n:
         raise DimensionMismatch(f"start index {start} out of range for {n} states")
@@ -418,7 +531,15 @@ def simulate_paths(
         raise ValueError("horizon_steps must be >= 0")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    return np.full(n_paths, start)
+
+
+def simulate_paths(
+    model: MarkovModel, start: int, horizon_steps: int, n_paths: int, seed: int
+) -> PathBatch:
+    """Sample n_paths kernel paths from ``start`` on the grid, reproducibly."""
     paths = simulate_block(
-        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, horizon_steps
+        model, batch_starts(model, start, horizon_steps, n_paths), seed,
+        np.arange(n_paths), 0, horizon_steps,
     )
     return PathBatch(paths=paths, seed=seed, start=start)

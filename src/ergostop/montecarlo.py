@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NumericalFailure, UnreachableRegion
 from .markov import (
     MarkovModel,
+    batch_starts,
     grid_steps,
     is_irreducible,
     region_mask,
@@ -106,7 +107,11 @@ def estimate_functional(
     mask = region_mask(model, region)
     steps = _horizon_steps(model, horizons)
     max_steps = int(steps[-1])
-    paths = simulate_paths(model, start, max_steps, n_paths, seed).paths
+    # paths freeze on entry: nothing at or after tau is read but paths[tau]
+    paths = simulate_block(
+        model, batch_starts(model, start, max_steps, n_paths), seed,
+        np.arange(n_paths), 0, max_steps, stop=mask,
+    )
     hit = mask[paths]
     tau = np.where(hit.any(axis=1), hit.argmax(axis=1), max_steps + 1)
     cum = np.zeros((n_paths, max_steps + 1))

@@ -29,19 +29,29 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _column(col):
-    """One table column as plain values and the function that writes each
-    as text, decided once for the whole column: floats keep 17 significant
-    digits, bools become 0/1, ints are written by ``str``. Any other column,
-    in practice state names, goes value by value through ``format_value``."""
+def _values(col):
+    """One table column as plain values: float and int columns as Python
+    numbers, bools as 0/1, any other column as it is."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
+        return (col.view(np.uint8) if col.dtype.kind == "b" else col).tolist()
+    return col
+
+
+def _texts(col):
+    """The text of every value of one table column, decided once for the
+    whole column: floats keep 17 significant digits, bools become 0/1, ints
+    are written by ``str``. Any other column, in practice state names
+    repeated over a grid, goes through ``format_value`` once per distinct
+    object, whose text is then repeated."""
     kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-    if kind == "b":
-        col, kind = col.view(np.uint8), "u"
     if kind == "f":
-        return col.tolist(), "{:.17g}".format
-    if kind in "iu":
-        return col.tolist(), str
-    return col, format_value
+        return map("{:.17g}".format, _values(col))
+    if kind in "biu":
+        return map(str, _values(col))
+    values = list(col)  # holds every value alive, so equal ids mean the same object
+    distinct = {id(v): v for v in values}
+    text = {key: format_value(v) for key, v in distinct.items()}
+    return map(text.__getitem__, map(id, values))
 
 
 def _write(path, chunks) -> None:
@@ -55,8 +65,7 @@ def _write(path, chunks) -> None:
 def write_csv(path, header, columns) -> None:
     """Write a table with a fixed column order, one column per header name;
     the rows are built as they are written."""
-    cells = [map(text, values) for values, text in map(_column, columns)]
-    rows = itertools.chain([header], zip(*cells, strict=True))
+    rows = itertools.chain([header], zip(*map(_texts, columns), strict=True))
     _write(path, (",".join(row) + "\n" for row in rows))
 
 
@@ -86,7 +95,8 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
     ``results`` maps a base name to either (header, columns) for tables, one
     equal-length array or sequence per header name, or a dict for records.
     Tables become CSV or long-format JSON (one record per row), each column
-    written as ``_column`` decides; records become JSON. Returns the paths.
+    written as ``_texts`` or ``_values`` decides; records become JSON.
+    Returns the paths.
     """
     if fmt not in ("csv", "json"):
         raise IoError(f"unknown report format {fmt!r}")
@@ -102,7 +112,7 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
             write_csv(path, *payload)
         elif table:
             header, columns = payload
-            rows = zip(*(values for values, _ in map(_column, columns)), strict=True)
+            rows = zip(*map(_values, columns), strict=True)
             write_json(path, [dict(zip(header, row)) for row in rows])
         else:
             write_json(path, payload)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from ergostop.markov import path_stream
+
 
 def exhaustive_finite_horizon(model, f, g, horizon_steps):
     """Optimal horizon-T values by enumerating every (time, state) stop rule.
@@ -207,3 +209,25 @@ def row_csv_text(header, rows):
     lines = [",".join(header)]
     lines += [",".join(row_format_value(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def loop_simulate_block(model, states, seed, path_ids, block, steps, stop=None):
+    """Paths stepped on one generator built per row and a full-row inverse-CDF
+    scan: row r draws ``path_stream(seed, path_ids[r], block).random(steps)``
+    and moves to the number of kernel-row CDF entries at or below its uniform,
+    clamped at n - 1. Rows in the boolean state mask ``stop`` stay put."""
+    n = model.n_states
+    cdf = np.cumsum(model.kernel, axis=1)
+    u = np.empty((len(path_ids), steps))
+    for r, i in enumerate(np.asarray(path_ids).tolist()):
+        u[r] = path_stream(seed, i, block).random(steps)
+    paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
+    state = np.array(states, dtype=np.int64)
+    paths[:, 0] = state
+    live = slice(None) if stop is None else np.arange(len(path_ids))
+    for k in range(steps):
+        if stop is not None:
+            live = live[~stop[state[live]]]
+        state[live] = np.minimum((cdf[state[live]] <= u[live, k, None]).sum(axis=1), n - 1)
+        paths[:, k + 1] = state
+    return paths

@@ -285,6 +285,49 @@ def test_simulate_command(tmp_path):
     assert header[0] == "horizon" and len(rows) == 3
 
 
+@pytest.mark.parametrize("seed, code", [("-1", 1), ("4294967295", 0)])
+def test_simulate_seed_domain(tmp_path, capsys, seed, code):
+    # the truncation gap draws from seed + 1, here 2**32: two entropy words
+    model = write_chain_a(tmp_path)
+    assert run([
+        "simulate", "--model", model, "--region", "1", "--horizons", "4,8",
+        "--paths", "50", "--seed", seed, "--out", str(tmp_path / "out"),
+    ]) == code
+    if code:
+        assert "non-negative" in capsys.readouterr().err
+
+
+def write_named_chain_a(tmp_path, states):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({
+        "states": states, "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+        "f": list(CHAIN_A_F), "g": list(CHAIN_A_G),
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("token", ["0.1", "0.10000000000000001", "1"])
+def test_state_tokens_match_str_or_table_text(tmp_path, token):
+    model = write_named_chain_a(tmp_path, [0.1, "b"])
+    out = tmp_path / "out"
+    assert run(["diagnose", "--check", "tv", "--model", model, "--probe", token,
+                "--max-time", "2", "--out", str(out)]) == 0
+    expected = "b" if token == "1" else "0.10000000000000001"
+    _, rows = read_csv(out / "tv_curve.csv")
+    assert {row[0] for row in rows} == {expected}
+
+
+def test_state_token_naming_two_states_is_refused(tmp_path, capsys):
+    # 1.0 is written "1" in tables, but str(1.0) is the name of the other state
+    model = write_named_chain_a(tmp_path, [1.0, "1.0"])
+    argv = ["diagnose", "--check", "tv", "--model", model, "--max-time", "2"]
+    assert run([*argv, "--probe", "1.0", "--out", str(tmp_path / "a")]) == 1
+    assert "ParseError" in capsys.readouterr().err
+    assert run([*argv, "--probe", "1", "--out", str(tmp_path / "b")]) == 0
+    _, rows = read_csv(tmp_path / "b" / "tv_curve.csv")
+    assert {row[0] for row in rows} == {"1"}
+
+
 def test_compactify_command(tmp_path):
     path = tmp_path / "chain_b.json"
     path.write_text(json.dumps({

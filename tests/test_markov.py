@@ -27,15 +27,20 @@ from ergostop.markov import (
     adjacency,
     chain_period,
     is_irreducible,
+    path_stream,
+    path_uniforms,
     reaches,
     recurrent_classes,
     simulate_block,
+    support_step,
+    support_tables,
     surely_hits,
 )
 from oracles import (
     bfs_chain_period,
     closure_recurrent_classes,
     hitting_probability,
+    loop_simulate_block,
     transitive_closure,
 )
 
@@ -284,6 +289,81 @@ def test_simulate_block_is_splittable_by_path_id(chain_b):
     for i in range(12):
         drawn_alone = simulate_block(chain_b, [2], 9, [i], 0, 40)
         np.testing.assert_array_equal(drawn_alone[0], batch.paths[i])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
+def test_path_uniforms_are_the_path_streams_bit_for_bit(seed):
+    ids = [0, 1, 5, 2**31, 2**32 - 1]
+    for block in range(4):
+        for steps in (0, 1, 3, 4, 5, 64, 257):
+            u = path_uniforms(seed, ids, block, steps)
+            assert u.shape == (len(ids), steps)
+            for r, i in enumerate(ids):
+                expected = path_stream(seed, i, block).random(steps)
+                np.testing.assert_array_equal(u[r].view(np.uint64), expected.view(np.uint64))
+        assert path_uniforms(seed, [], block, 5).shape == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "seed, ids, block",
+    [(-1, [0], 0), (3, [-1], 0), (3, [2**32], 0), (3, [0, 2**40], 0), (3, [0], -2)],
+    ids=["negative-seed", "negative-id", "id-2^32", "id-2^40", "negative-block"],
+)
+def test_path_uniforms_reject_keys_outside_the_domain(seed, ids, block):
+    with pytest.raises(ValueError):
+        path_uniforms(seed, ids, block, 4)
+
+
+def test_support_step_never_lands_on_a_zero_probability_state():
+    # a renormalized row whose cumulative sum ends below 1, with P(x, n-1) = 0
+    rng = np.random.default_rng(2)
+    while True:
+        row = np.append(rng.random(3), 0.0)
+        model = build_dtmc(range(4), [row / row.sum()] + [[0.25] * 4] * 3)
+        if np.cumsum(model.kernel[0])[-1] < 1.0:
+            break
+    u = np.nextafter(1.0, 0.0)
+    assert np.cumsum(model.kernel[0])[-1] <= u
+    cum, succ = support_tables(model.kernel)
+    assert support_step(cum, succ, np.array([0]), np.array([u])).tolist() == [2]
+    # the full-row scan clamps at n - 1, a state row 0 cannot reach
+    assert model.kernel[0, 3] == 0.0
+    assert min(int((np.cumsum(model.kernel[0]) <= u).sum()), 3) == 3
+
+
+def _chain_for_paths(rng, n):
+    """Sparse, dense or reducible kernels, some rows with a single successor."""
+    kind = rng.integers(3)
+    if kind == 0:
+        P = _random_sparse_kernel(rng, n)
+    else:
+        P = rng.random((n, n)) * (rng.random((n, n)) < (1.0 if kind == 1 else 0.3))
+        P[np.arange(n), rng.integers(0, n, n)] += 0.05
+        P /= P.sum(axis=1, keepdims=True)
+    single = rng.random(n) < 0.2
+    P[single] = np.eye(n)[rng.integers(0, n, n)][single]
+    return build_dtmc(list(range(n)), P)
+
+
+def test_simulate_block_matches_loop_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        model = _chain_for_paths(rng, n)
+        rows = int(rng.integers(0, 25))
+        states = rng.integers(0, n, rows)
+        ids = rng.choice(2**32, size=rows, replace=False)
+        stop = rng.random(n) < rng.random() if rng.random() < 0.5 else None
+        seed = int(rng.integers(0, 2**62))
+        block, steps = int(rng.integers(0, 4)), int(rng.integers(0, 140))
+        got = simulate_block(model, states, seed, ids, block, steps, stop=stop)
+        ref = loop_simulate_block(model, states, seed, ids, block, steps, stop=stop)
+        assert got.shape == ref.shape
+        # rows may differ only from a step where the reference's n - 1 clamp
+        # moved to a state of zero probability
+        for r in np.flatnonzero((got != ref).any(axis=1)):
+            k = int(np.argmax(got[r] != ref[r]))
+            assert model.kernel[ref[r, k - 1], ref[r, k]] == 0.0
 
 
 def test_distribution_validation():

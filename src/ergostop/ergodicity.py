@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoMixingDetected, SingularSystem
+from .errors import NoMixingDetected, NumericalFailure, SingularSystem
 from .markov import (
     Distribution,
     MarkovModel,
@@ -28,11 +28,10 @@ from .markov import (
     is_irreducible,
     per_state,
     region_mask,
+    residual_tol,
 )
 from .montecarlo import Z_THRESHOLD, estimate_functional
 from .rewards import RewardSpec
-
-POISSON_TOL = 1e-10
 
 # Total-variation convention: unnormalized sum of absolute differences,
 # range [0, 2]. Affects only the K/h fit, never a solver.
@@ -155,8 +154,10 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
     The kernel of (I - P) is one-dimensional on an irreducible chain, so the
     centring mu(q) = 0 selects the unique solution matching the defining
     series sum_k dt * (P^k f - mu(f)). Periodic or reducible chains are
-    rejected: the linear system would still solve, but only in a Cesaro
-    sense that silently changes the object's meaning.
+    rejected (SingularSystem): the linear system would still solve, but only
+    in a Cesaro sense that silently changes the object's meaning. A residual
+    or centring above ``residual_tol`` of q, Pq and the right-hand side is a
+    NumericalFailure.
     """
     fv = per_state(model, f, "f")
     if not is_irreducible(model.kernel):
@@ -178,10 +179,11 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
     q = sol[:n]
     residual = float(np.max(np.abs((np.eye(n) - model.kernel) @ q - rhs)))
     centred = float(abs(mu.weights @ q))
-    if residual > POISSON_TOL or centred > POISSON_TOL:
-        raise SingularSystem(
+    tol = residual_tol(q, model.kernel @ q, rhs)
+    if residual > tol or centred > tol:
+        raise NumericalFailure(
             f"Poisson solve residual {residual:.2e}, centring {centred:.2e} "
-            f"exceed {POISSON_TOL}"
+            f"exceed {tol:.2e}"
         )
     return ZeroPotential(q=q, residual=residual, centred=centred)
 
@@ -241,7 +243,7 @@ def verify_dynkin_identity(
     se = float(est.std_errors[0])
     diff = estimate - reference
     if se == 0.0:
-        z = 0.0 if abs(diff) < 1e-12 else float("inf")
+        z = 0.0 if abs(diff) <= residual_tol(estimate, reference) else float("inf")
     else:
         z = diff / se
     verdict = "PASS" if abs(z) <= Z_THRESHOLD else "FAIL"

@@ -7,9 +7,10 @@ surface obeys
     w_0 = g,        w_{k+1} = max(g, dt * f + P w_k),
 
 so surface[k] is the value with k steps remaining. The reported rule stops
-wherever g >= w - 1e-9; the tie tolerance is the float-safe reading of
-"stop as soon as stopping is not strictly worse", which realizes the
-smallest optimal stopping time.
+wherever g >= w - tie, with tie = residual_tol(g, dt * f, surface): the
+float-safe reading of "stop as soon as stopping is not strictly worse",
+which realizes the smallest optimal stopping time. The tie scales with the
+rewards, so scaling f and g by 2^k scales the surface and leaves the rule.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNesting
-from .markov import MarkovModel, region_mask
+from .markov import MarkovModel, region_mask, residual_tol
 from .rewards import RewardSpec
-
-TIE_TOL = 1e-9
-SUPERMARTINGALE_TOL = 1e-10
 
 
 @dataclass
@@ -31,12 +29,14 @@ class FiniteHorizonSolution:
     """Value surface w_{k dt} for k = 0..horizon_steps plus the stop rule.
 
     ``surface[k, x]`` is the value with k steps remaining (surface[0] = g
-    exactly); ``rule[k, x]`` flags the stop set {g >= w_k - 1e-9}.
+    exactly); ``rule[k, x]`` flags the stop set {g >= w_k - tie}, ``tie``
+    being ``residual_tol(g, dt * f, surface)``.
     """
 
     horizon_steps: int
     surface: np.ndarray          # (horizon_steps + 1, n)
     rule: np.ndarray             # (horizon_steps + 1, n), bool
+    tie: float
     truncation_level: float | None = None
 
 
@@ -44,9 +44,10 @@ class FiniteHorizonSolution:
 class SupermartingaleReport:
     """One-step residuals of the value surface.
 
-    ``max_residual`` must be <= 1e-10 (the continue branch never beats the
-    surface); ``max_continuation_gap`` is the largest |residual| where the
-    rule continues, which must vanish.
+    ``max_residual`` must be at most ``residual_tol`` of the one-step
+    equation's terms (the continue branch never beats the surface);
+    ``max_continuation_gap`` is the largest |residual| where the rule
+    continues, which must vanish to the same tolerance.
     """
 
     max_residual: float
@@ -104,11 +105,12 @@ def _solve(model, f, g, horizon_steps, truncation_level):
     run = model.dt * f
     for k in range(horizon_steps):
         surface[k + 1] = np.maximum(g, run + model.kernel @ surface[k])
-    rule = g[None, :] >= surface - TIE_TOL
+    tie = residual_tol(g, run, surface)
     return FiniteHorizonSolution(
         horizon_steps=horizon_steps,
         surface=surface,
-        rule=rule,
+        rule=g[None, :] >= surface - tie,
+        tie=tie,
         truncation_level=truncation_level,
     )
 
@@ -118,10 +120,12 @@ def check_supermartingale(
 ) -> SupermartingaleReport:
     """Re-derive the one-step inequalities of the surface independently.
 
-    For every state and step: dt*f + P w_k - w_{k+1} <= 0 up to 1e-10, with
-    equality on the continuation set of step k+1. This is what makes the
-    accrued-reward process a supermartingale under any stopping rule and a
-    martingale up to the first entry of the stop set.
+    For every state and step: dt*f + P w_k - w_{k+1} <= 0, with equality on
+    the continuation set of step k+1, both up to ``residual_tol`` of the
+    terms g, dt*f and the surface. This is what makes the accrued-reward
+    process a supermartingale under any stopping rule and a martingale up to
+    the first entry of the stop set. The continuation set is the solver's
+    own, read with the tie the solution records.
     """
     g = rewards.g if solution.truncation_level is None else np.clip(
         rewards.g, -solution.truncation_level, solution.truncation_level
@@ -132,10 +136,11 @@ def check_supermartingale(
     for k in range(solution.horizon_steps):
         resid = run + model.kernel @ solution.surface[k] - solution.surface[k + 1]
         max_resid = max(max_resid, float(resid.max()))
-        cont = g < solution.surface[k + 1] - TIE_TOL
+        cont = g < solution.surface[k + 1] - solution.tie
         if cont.any():
             max_cont = max(max_cont, float(np.abs(resid[cont]).max()))
-    ok = max_resid <= SUPERMARTINGALE_TOL and max_cont <= SUPERMARTINGALE_TOL
+    tol = residual_tol(g, run, solution.surface)
+    ok = max_resid <= tol and max_cont <= tol
     return SupermartingaleReport(
         max_residual=max_resid, max_continuation_gap=max_cont, ok=ok
     )

@@ -34,14 +34,12 @@ from .markov import (
     is_irreducible,
     per_state,
     region_mask,
+    residual_tol,
     stationary_distribution,
     surely_hits,
 )
 from .rewards import RewardSpec
 
-TIE_TOL = 1e-9
-CERT_TOL = 1e-9
-DRIFT_TOL = 1e-12
 DEFAULT_DELTA = 0.5
 
 
@@ -50,8 +48,10 @@ class InfiniteHorizonSolution:
     """Certified value, stop region, and stopping-time bound data.
 
     ``w`` is the exact value of the hitting rule of ``region``, the region
-    at which policy iteration settled. ``certified`` is set only when that
-    value is a Bellman fixed point within CERT_TOL; otherwise the flag is
+    at which policy iteration settled. ``tie`` is the tolerance of the last
+    round, ``residual_tol(g, dt * f, w)``: it both breaks ties toward
+    stopping and bounds the Bellman residual. ``certified`` is set only when
+    ``w`` is a Bellman fixed point within ``tie``; otherwise the flag is
     False, never silently. ``iterations`` counts policy-evaluation rounds.
 
     ``gamma``, ``d``, ``Z`` and ``expected_tau`` realize the explicit bound
@@ -59,9 +59,10 @@ class InfiniteHorizonSolution:
     """
 
     w: np.ndarray
-    region: np.ndarray                # bool stop set {g >= w - 1e-9}
+    region: np.ndarray                # bool stop set {g >= dt f + P w - tie}
     excess: np.ndarray                # w - g, defines the relaxed rules
     fixed_point_residual: float
+    tie: float
     certified: bool
     iterations: int
     gamma: np.ndarray
@@ -175,9 +176,11 @@ def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.nd
     with one recurrent class and mu(run) <= 0 the values rise, stay finite,
     and the region only shrinks, so it settles within n + 1 rounds; the last
     evaluation is then a Bellman fixed point up to the tie tolerance, which
-    the returned residual certifies.
+    the returned residual certifies. Each round's tie is ``residual_tol`` of
+    the Bellman equation's terms, so ties and the certificate scale with the
+    rewards.
 
-    Returns (w, region, residual, certified, rounds).
+    Returns (w, region, residual, tie, certified, rounds).
     """
     n = len(term)
     run_dt = dt * run
@@ -185,10 +188,11 @@ def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.nd
     for rounds in range(1, n + 2):
         v = _policy_value(kernel, dt, run, term, region)
         cont = run_dt + kernel @ v
-        improved = term + TIE_TOL >= cont
+        tie = residual_tol(term, run_dt, v)
+        improved = term + tie >= cont
         if (improved == region).all():
             residual = float(np.max(np.abs(v - np.maximum(term, cont))))
-            return v, region, residual, residual <= CERT_TOL, rounds
+            return v, region, residual, tie, residual <= tie, rounds
         region = improved
     else:
         raise NumericalFailure(f"policy iteration did not settle within {n + 1} rounds")
@@ -213,7 +217,7 @@ def solve_infinite_horizon(
         raise DriftNotNegative(
             f"mu(f) = {rewards.mu_f} >= 0; undiscounted value may be infinite"
         )
-    w, region, residual, certified, iterations = _certified_solve(
+    w, region, residual, tie, certified, iterations = _certified_solve(
         model.kernel, model.dt, rewards.f, rewards.g
     )
     if d is None:
@@ -227,6 +231,7 @@ def solve_infinite_horizon(
         region=region,
         excess=w - rewards.g,
         fixed_point_residual=residual,
+        tie=tie,
         certified=certified,
         iterations=iterations,
         gamma=gamma,
@@ -255,13 +260,13 @@ def stopping_rule_eps(solution: InfiniteHorizonSolution, eps: float) -> np.ndarr
 
     The region compares w - g against eps directly (not value loss), which
     is what makes the family shrink to the optimal region as eps -> 0; the
-    shared tie tolerance keeps eps = 0 equal to the reported stop set.
+    solver's own tie keeps eps = 0 equal to the reported stop set.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if not solution.certified:
         raise ValueError("eps-rule requires a certified solution")
-    return solution.excess <= eps + TIE_TOL
+    return solution.excess <= eps + solution.tie
 
 
 def gamma_value(model: MarkovModel, f, d) -> np.ndarray:
@@ -284,11 +289,11 @@ def _gamma(model: MarkovModel, fv: np.ndarray, mu_f: float, d_vec: np.ndarray):
     gamma = np.empty(model.n_states)
     zero_term = np.zeros(model.n_states)
     for c in np.unique(d_vec):
-        if mu_f - c > DRIFT_TOL * max(1.0, abs(mu_f)):
+        if mu_f - c > residual_tol(mu_f, c):
             raise DriftNotNegative(
                 f"mu(f - d) = {mu_f - c} > 0: auxiliary value is infinite"
             )
-        vals, _, residual, certified, _ = _certified_solve(
+        vals, _, residual, _, certified, _ = _certified_solve(
             model.kernel, model.dt, fv - c, zero_term
         )
         if not certified:
@@ -317,7 +322,7 @@ def stopping_time_bound(
     gamma, Z = _gamma_and_bound(model, rewards, d_vec)
     zeta_plus = float(np.maximum(rewards.g, 0.0).max())
     expected_tau = solution.expected_tau
-    ok = bool(np.all(expected_tau <= Z + 1e-9))
+    ok = bool(np.all(expected_tau <= Z + residual_tol(expected_tau, Z)))
     if not ok:
         worst = int(np.argmax(expected_tau - Z))
         raise BoundViolated(
@@ -334,8 +339,9 @@ def brute_force_region_oracle(model: MarkovModel, rewards: RewardSpec) -> Oracle
     """Independent certification by enumerating every nonempty stop region.
 
     Returns the pointwise best value, every region achieving it at all
-    states simultaneously, and their union, whose hitting time is the
-    smallest optimal stopping time.
+    states simultaneously (within the solver's tie rule, ``residual_tol``
+    of g, dt * f and the best value), and their union, whose hitting time
+    is the smallest optimal stopping time.
     """
     n = model.n_states
     if n > 20:
@@ -347,7 +353,8 @@ def brute_force_region_oracle(model: MarkovModel, rewards: RewardSpec) -> Oracle
         for mask in masks
     ])
     best = values.max(axis=0)
-    optimal = masks[np.all(values >= best - 1e-9, axis=1)]
+    tie = residual_tol(rewards.g, model.dt * rewards.f, best)
+    optimal = masks[np.all(values >= best - tie, axis=1)]
     return OracleResult(
         w=best, optimal_regions=list(optimal), minimal_time_region=optimal.any(axis=0)
     )
@@ -372,7 +379,7 @@ def check_condition_S(
         raise DriftNotNegative(f"mu(f) = {rewards.mu_f} >= 0")
     q = np.asarray(zero_potential.q if hasattr(zero_potential, "q") else zero_potential)
     run = np.full(model.n_states, (1.0 - delta) * rewards.mu_f)
-    bar, _, residual, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
+    bar, _, residual, _, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
     if not certified:
         raise NumericalFailure(
             f"bar-gamma solve failed certification (residual {residual:.2e})"
@@ -383,7 +390,8 @@ def check_condition_S(
     gap = float(np.max(np.abs(bar - (gamma - q))))
     return ConditionSReport(
         delta=delta, bar_gamma=bar, gamma=gamma, identity_gap=gap,
-        holds=bool(np.isfinite(bar).all() and rewards.mu_f < 0 and gap <= 1e-8),
+        holds=bool(np.isfinite(bar).all() and rewards.mu_f < 0
+                   and gap <= residual_tol(bar, gamma, q)),
     )
 
 
@@ -427,7 +435,7 @@ def compactify_running_reward(
     outside = dist_center > N + 1
     if np.any(f_bar < fv):
         raise NumericalFailure("compactified reward fails to dominate f")
-    if mu_f_bar > mu_f / 2.0 + 1e-12:
+    if mu_f_bar > mu_f / 2.0 + residual_tol(mu_f_bar, mu_f / 2.0):
         raise NumericalFailure(
             f"mu(f_bar) = {mu_f_bar} exceeds mu(f)/2 = {mu_f / 2.0}"
         )

@@ -29,6 +29,7 @@ ROW_SUM_TOL = 1e-9
 EDGE_TOL = 1e-15          # kernel entries above this count as graph edges
 POISSON_TAIL_TOL = 1e-14
 STATIONARY_TOL = 1e-12
+REL_TOL = 1e-12           # the one tolerance relative to the size of an equation
 
 
 @dataclass(frozen=True)
@@ -339,6 +340,21 @@ def per_state(model: MarkovModel, values, name: str) -> np.ndarray:
     return v
 
 
+def residual_tol(*terms) -> float:
+    """Tolerance on the residual of one equation whose terms are ``terms``:
+    REL_TOL times the sum of the terms' max-norms over their finite entries
+    (a -inf value, a hitting rule that strands mass, has no size).
+
+    This is the Oettli-Prager backward error (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 7.1). It has no
+    floor and no additive constant, so scaling every term by 2^k scales the
+    tolerance by exactly 2^k and leaves every verdict unchanged.
+    """
+    return REL_TOL * sum(
+        float(np.max(np.abs(t), initial=0.0, where=np.isfinite(t))) for t in terms
+    )
+
+
 def region_mask(model: MarkovModel, region) -> np.ndarray:
     """Boolean state mask of ``region``, given as a mask or as state indices."""
     r = np.asarray(region)
@@ -365,18 +381,6 @@ def grid_steps(times, dt: float):
     if np.any(np.abs(steps - rounded) > 1e-9 * np.maximum(1.0, np.abs(steps))):
         raise ValueError(f"time {times} is not a multiple of dt = {dt}")
     return rounded.astype(int)
-
-
-def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:
-    """Independent per-path random stream, split from the master seed.
-
-    Streams are keyed by (seed, path, block) through a counter-based
-    generator, so parallel and serial simulations produce identical paths.
-    ``path_uniforms`` draws the same streams without building one each.
-    """
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(seed, path_index, block)))
-    )
 
 
 # numpy's SeedSequence constants: a pool of four 32-bit words
@@ -419,9 +423,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(seed: int, path_ids, block: int) -> np.ndarray:
-    """Philox keys of the streams ``path_stream(seed, i, block)``, one row of
-    two uint64 words per path id: ``SeedSequence(entropy=(seed, i, block))``
-    hashed and mixed over uint32 arrays, all ids at once.
+    """Philox keys of the streams (seed, i, block), one row of two uint64
+    words per path id: the key that ``SeedSequence(entropy=(seed, i, block))``
+    seeds a Philox generator with, hashed and mixed over uint32 arrays, all
+    ids at once. Streams keyed by (seed, path, block) make parallel and
+    serial simulations produce identical paths.
 
     Seeds and blocks of any size keep SeedSequence's word layout; path ids
     must lie in [0, 2**32), where each is one entropy word.
@@ -448,8 +454,9 @@ def stream_keys(seed: int, path_ids, block: int) -> np.ndarray:
 
 
 def path_uniforms(seed: int, path_ids, block: int, steps: int) -> np.ndarray:
-    """Row r holds ``path_stream(seed, path_ids[r], block).random(steps)``,
-    drawn by one Philox generator that is set to each row's key in turn."""
+    """Row r holds the first ``steps`` uniforms of the Philox stream keyed by
+    ``SeedSequence(entropy=(seed, path_ids[r], block))``, drawn by one Philox
+    generator that is set to each row's key in turn."""
     keys = stream_keys(seed, path_ids, block)
     u = np.empty((len(keys), steps))
     bitgen = np.random.Philox(0)
@@ -499,10 +506,11 @@ def simulate_block(
     """Step paths from ``states`` for ``steps`` steps; the one simulation engine.
 
     Row r steps by the inverse CDF of its kernel row, over the row's nonzero
-    support, on the uniforms of ``path_stream(seed, path_ids[r], block)``, so
-    any subset of rows comes out the same drawn alone. Rows in the boolean
-    state mask ``stop`` stay put. Returns the (len(path_ids), steps + 1)
-    state indices, ``states`` first.
+    support, on the uniforms of the Philox stream keyed by
+    ``SeedSequence(entropy=(seed, path_ids[r], block))``, so any subset of
+    rows comes out the same drawn alone. Rows in the boolean state mask
+    ``stop`` stay put. Returns the (len(path_ids), steps + 1) state indices,
+    ``states`` first.
     """
     paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
     u = path_uniforms(seed, path_ids, block, steps)

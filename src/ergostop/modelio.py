@@ -5,6 +5,8 @@ text, with no comma or line break), exactly one of ``kernel`` or
 ``generator`` (row-major matrices, one row per state in ``states`` order),
 ``dt`` (number), optional ``coords`` (array of number arrays), optional
 ``f`` and ``g`` (number arrays, consumed by the reward-bearing solvers).
+Numeric fields hold JSON numbers only: a boolean, string or null in any of
+them is refused, however deeply nested.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ class ModelFile:
     model: MarkovModel
     f: np.ndarray | None
     g: np.ndarray | None
+
+
+def _numeric(value) -> bool:
+    """Whether a JSON value is a number or an array of numbers at any depth;
+    booleans, strings and null are not numbers."""
+    if not isinstance(value, list):
+        return type(value) in (int, float)
+    types = set(map(type, value))
+    return types <= {int, float} or (
+        types <= {int, float, list} and all(map(_numeric, value))
+    )
 
 
 def load_model_file(path, dt_override: float | None = None) -> ModelFile:
@@ -54,6 +67,9 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
     has_generator = "generator" in raw
     if has_kernel == has_generator:
         raise ParseError(f"{path}: provide exactly one of 'kernel' or 'generator'")
+    for name in ("dt", "kernel", "generator", "coords", "f", "g"):
+        if raw.get(name) is not None and not _numeric(raw[name]):
+            raise ParseError(f"{path}: field '{name}' holds a value that is not a number")
     dt = raw.get("dt")
     if not isinstance(dt, (int, float)) or dt <= 0:
         raise ParseError(f"{path}: field 'dt' must be a positive number")

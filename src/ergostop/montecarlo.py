@@ -27,6 +27,7 @@ from .markov import (
     grid_steps,
     is_irreducible,
     region_mask,
+    residual_tol,
     simulate_block,
     simulate_paths,
     surely_hits,
@@ -139,7 +140,7 @@ def _trend_verdict(estimates: np.ndarray, ses: np.ndarray) -> str:
         return VERDICT_PASS
     drop = estimates[-2] - estimates[-1]
     noise = Z_THRESHOLD * float(np.hypot(ses[-2], ses[-1]))
-    if drop > noise and drop > 1e-12:
+    if drop > noise and drop > residual_tol(estimates[-2], estimates[-1]):
         return VERDICT_DIVERGING
     return VERDICT_PASS
 
@@ -213,9 +214,12 @@ def terminal_truncation_gap(
         gm[i], gm_se[i] = _mean_se(gminus_off[state_T])
         gap, gap_se[i] = _mean_se(acc_T + rewards.g[state_T] - uncapped)
         gaps[i] = abs(gap)
+    # at zero spread the slack is the rounding of each mean's own terms, at
+    # the largest horizon (acc_T is the loop's last)
     ok = (
-        gm[-1] <= Z_THRESHOLD * gm_se[-1] + 1e-12
-        and gaps[-1] <= Z_THRESHOLD * gap_se[-1] + 1e-12
+        gm[-1] <= Z_THRESHOLD * gm_se[-1] + residual_tol(gminus_off)
+        and gaps[-1] <= Z_THRESHOLD * gap_se[-1]
+        + residual_tol(acc_T, rewards.g, uncapped)
     )
     return TailEstimate(
         horizons=np.asarray(horizons, dtype=float),

@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 
-from ergostop.markov import path_stream
+
+
+def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:
+    """The per-path random stream (seed, path, block) built on its own: a
+    Philox generator seeded by ``SeedSequence(entropy=(seed, path, block))``,
+    the reference for ``stream_keys`` and ``path_uniforms``."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=(seed, path_index, block)))
+    )
 
 
 def exhaustive_finite_horizon(model, f, g, horizon_steps):

@@ -13,11 +13,12 @@ from conftest import (
     CHAIN_B_KERNEL,
     chain_b_generator_rows,
 )
-from ergostop import markov, montecarlo
+from ergostop import build_dtmc, markov, montecarlo
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
 from ergostop.report import emit_report, write_csv
+from oracles import exhaustive_finite_horizon
 
 
 def write_chain_a(tmp_path, name="chain_a.json", f=None, g=None):
@@ -101,6 +102,27 @@ def test_load_model_file_rejects_state_names_that_break_tables(tmp_path, states)
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dt", True), ("kernel", [[True, 0.0], [0.2, 0.8]]),
+     ("generator", [[-1.0, True], [1.0, -1.0]]), ("coords", [[0.0], [True]]),
+     ("f", [True, -4.0]), ("g", [0.0, False]), ("f", ["2", -4.0])],
+    ids=["dt", "kernel", "generator", "coords", "f", "g", "f-string"],
+)
+def test_load_model_file_refuses_non_numbers_in_numeric_fields(tmp_path, capsys, field, value):
+    payload = {"states": ["0", "1"], "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+               "f": list(CHAIN_A_F), "g": list(CHAIN_A_G), field: value}
+    if field == "generator":
+        del payload["kernel"]
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=f"'{field}' holds a value that is not a number"):
+        load_model_file(str(path))
+    out = str(tmp_path / "out")
+    assert run(["solve-infinite", "--model", str(path), "--out", out]) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_solve_command(tmp_path, capsys):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")
@@ -159,8 +181,9 @@ def test_solve_infinite_drift_verdict_exit_2(tmp_path):
         (montecarlo, "_MAX_BLOCKS", 1,
          ["simulate", "--region", "1", "--horizons", "4,8", "--paths", "200"]),
         (markov, "STATIONARY_TOL", -1.0, ["solve-infinite"]),
+        (markov, "REL_TOL", -1.0, ["diagnose", "--check", "poisson"]),
     ],
-    ids=["simulation-step-budget", "stationary-residual"],
+    ids=["simulation-step-budget", "stationary-residual", "poisson-residual"],
 )
 def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys, module, name, value, argv):
     # state 0 holds with probability 0.99: most paths need more than 64 steps
@@ -188,6 +211,17 @@ def test_singular_solve_exit_3(tmp_path, monkeypatch, capsys):
     assert verdict["verdict"] == "NumericalFailure"
     assert "Singular matrix" in verdict["message"]
     assert "NumericalFailure" in capsys.readouterr().err
+
+
+def test_periodic_poisson_is_a_verdict_exit_2(tmp_path):
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1"], "kernel": [[0.0, 1.0], [1.0, 0.0]], "dt": 1.0,
+        "f": [1.0, -3.0],
+    }))
+    out = str(tmp_path / "out")
+    assert run(["diagnose", "--check", "poisson", "--model", str(path), "--out", out]) == 2
+    assert read_json(os.path.join(out, "verdict.json"))["verdict"] == "SingularSystem"
 
 
 def test_unwritable_out_exit_1(tmp_path, capsys):
@@ -374,3 +408,36 @@ def test_json_format_tables(tmp_path):
     ]) == 0
     rows = read_json(os.path.join(out, "surface.json"))
     assert rows[0]["state"] == "0" and "w_k" in rows[0]
+
+
+# Two absorbing states 0 and 2: two recurrent classes, no unique invariant law.
+TWO_CLASSES = {
+    "states": ["0", "1", "2"],
+    "kernel": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+    "dt": 1.0,
+    "f": [-1.0, 2.0, -0.5],
+    "g": [3.0, 0.0, 1.0],
+}
+
+
+def test_solve_runs_on_two_recurrent_classes(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_CLASSES))
+    out = str(tmp_path / "out")
+    assert run(["solve", "--model", str(path), "--horizon", "4", "--out", out]) == 0
+    _, rows = read_csv(os.path.join(out, "surface.csv"))
+    surface = np.array([float(r[2]) for r in rows]).reshape(5, 3)
+    model = build_dtmc(TWO_CLASSES["states"], TWO_CLASSES["kernel"])
+    for k in range(5):
+        w, _ = exhaustive_finite_horizon(model, TWO_CLASSES["f"], TWO_CLASSES["g"], k)
+        np.testing.assert_array_equal(surface[k], w)
+
+
+def test_simulate_runs_on_two_recurrent_classes(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_CLASSES))
+    out = str(tmp_path / "out")
+    assert run(["simulate", "--model", str(path), "--region", "0,2", "--start", "1",
+                "--horizons", "1,2", "--paths", "200", "--out", out]) == 0
+    verdicts = read_json(os.path.join(out, "verdicts.json"))
+    assert verdicts["functional_verdict"] == verdicts["truncation_verdict"] == "PASS"

@@ -27,7 +27,6 @@ from ergostop.markov import (
     adjacency,
     chain_period,
     is_irreducible,
-    path_stream,
     path_uniforms,
     reaches,
     recurrent_classes,
@@ -41,6 +40,7 @@ from oracles import (
     closure_recurrent_classes,
     hitting_probability,
     loop_simulate_block,
+    path_stream,
     transitive_closure,
 )
 

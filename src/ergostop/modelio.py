@@ -79,10 +79,11 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
         v = raw.get(name)
         if v is None:
             return None
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != (len(states),):
+        if not isinstance(v, list) or len(v) != len(states) or any(
+            isinstance(x, list) for x in v
+        ):
             raise ParseError(f"{path}: field '{name}' must have one number per state")
-        return arr
+        return np.asarray(v, dtype=float)
 
     try:
         if has_kernel:

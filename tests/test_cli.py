@@ -123,6 +123,17 @@ def test_load_model_file_refuses_non_numbers_in_numeric_fields(tmp_path, capsys,
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_ragged_reward_field_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"states": ["0", "1"], "kernel": CHAIN_A_KERNEL,
+                                "dt": 1.0, "f": [1, [2]], "g": list(CHAIN_A_G)}))
+    with pytest.raises(ParseError, match="'f' must have one number per state"):
+        load_model_file(str(path))
+    assert run(["solve-infinite", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err and str(path) in err and "'f'" in err
+
+
 def test_solve_command(tmp_path, capsys):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")

@@ -18,6 +18,9 @@ from ergostop import (
     stopping_time_bound,
     zero_potential,
 )
+from ergostop import infinite_horizon
+from ergostop.markov import residual_tol
+from ergostop.rewards import reward_vectors
 from ergostop.errors import (
     DriftNotNegative,
     NoCoords,
@@ -119,6 +122,13 @@ def test_oracle_state_cap():
         brute_force_region_oracle(m, rw)
 
 
+def test_oracle_state_cap_comes_before_the_irreducibility_check():
+    # only the order is new beside test_oracle_state_cap: this chain is reducible
+    big = build_dtmc(range(21), np.eye(21))
+    with pytest.raises(TooManyStates):
+        brute_force_region_oracle(big, reward_vectors(big, -np.ones(21), np.zeros(21)))
+
+
 def test_certified_matches_oracle_on_corpus():
     rng = np.random.default_rng(61)
     for _ in range(40):
@@ -129,6 +139,65 @@ def test_certified_matches_oracle_on_corpus():
         oracle = brute_force_region_oracle(m, rw)
         np.testing.assert_allclose(sol.w, oracle.w, atol=1e-8)
         assert (sol.region == oracle.minimal_time_region).all()
+
+
+def _banded_walk(rng, n):
+    # lazy walk with random hold and step weights, reflected at the ends
+    P = np.zeros((n, n))
+    for x in range(n):
+        left, hold, right = rng.random(3) + 0.05
+        P[x, max(x - 1, 0)] += left
+        P[x, x] += hold
+        P[x, min(x + 1, n - 1)] += right
+    return build_dtmc(range(n), P / P.sum(axis=1, keepdims=True))
+
+
+def test_certified_matches_oracle_on_13_to_16_states():
+    rng = np.random.default_rng(1316)
+    models = [random_chain(rng, n) for n in (13, 14, 15)]
+    models += [_banded_walk(rng, n) for n in (13, 16)]
+    for m in models:
+        rw = random_rewards(m, rng, g_scale=6.0)
+        sol = solve_infinite_horizon(m, rw)
+        assert sol.certified
+        oracle = brute_force_region_oracle(m, rw)
+        assert np.max(np.abs(sol.w - oracle.w)) <= residual_tol(sol.w, oracle.w)
+        np.testing.assert_array_equal(sol.region, oracle.minimal_time_region)
+
+
+def _same_oracle_result(a, b):
+    np.testing.assert_array_equal(a.w, b.w)
+    np.testing.assert_array_equal(np.array(a.optimal_regions), np.array(b.optimal_regions))
+    np.testing.assert_array_equal(a.minimal_time_region, b.minimal_time_region)
+
+
+def test_oracle_block_size_does_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 7):
+        m = random_chain(rng, n)
+        rw = random_rewards(m, rng)
+        ref = brute_force_region_oracle(m, rw)
+        with monkeypatch.context() as mp:
+            mp.setattr(infinite_horizon, "ORACLE_BLOCK", 3)
+            _same_oracle_result(brute_force_region_oracle(m, rw), ref)
+
+
+def test_oracle_shares_no_evaluation_code_with_the_solver(monkeypatch, chain_b,
+                                                          chain_b_rewards):
+    ref = brute_force_region_oracle(chain_b, chain_b_rewards)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call the solver's evaluation")
+
+    monkeypatch.setattr(infinite_horizon, "_policy_value", refuse)
+    monkeypatch.setattr(infinite_horizon, "surely_hits", refuse)
+    _same_oracle_result(brute_force_region_oracle(chain_b, chain_b_rewards), ref)
+
+
+def test_oracle_refuses_reducible_chains():
+    m = build_dtmc([0, 1], [[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(NotIrreducible):
+        brute_force_region_oracle(m, make_rewards(m, [1.0, -1.0], [0.0, 0.0]))
 
 
 def test_certified_equals_long_horizon_limit_dense_150():

@@ -29,6 +29,7 @@ from .markov import (
     per_state,
     region_mask,
     residual_tol,
+    state_index,
 )
 from .montecarlo import Z_THRESHOLD, estimate_functional
 from .rewards import RewardSpec
@@ -92,7 +93,7 @@ def tv_distance_curve(
     steps = int(grid_steps(max_time, model.dt))
     if steps < 1:
         raise ValueError("max_time must cover at least one step")
-    probes = np.asarray(probe_states, dtype=int)
+    probes = np.array([state_index(model, p, "probe") for p in probe_states], dtype=int)
     rows = np.zeros((len(probes), model.n_states))
     rows[np.arange(len(probes)), probes] = 1.0
     tv = np.empty((len(probes), steps))
@@ -199,6 +200,7 @@ def stopped_potential_exact(
     fv = per_state(model, f, "f")
     qv = per_state(model, q, "q")
     region = region_mask(model, stop_region)
+    start = state_index(model, start, "start")
     centred = model.dt * (fv - float(mu.weights @ fv))
     v = qv.copy()
     for _ in range(cap_steps):
@@ -225,6 +227,7 @@ def verify_dynkin_identity(
     """
     fv = per_state(model, f, "f")
     region = region_mask(model, stop_region)
+    start = state_index(model, start, "start")
     if cap_steps < 0:
         raise ValueError("cap_steps must be >= 0")
     reference = float(zp.q[start])

@@ -33,8 +33,10 @@ from .markov import (
     MarkovModel,
     is_irreducible,
     per_state,
+    recurrent_classes,
     region_mask,
     residual_tol,
+    state_index,
     stationary_distribution,
     surely_hits,
 )
@@ -128,44 +130,43 @@ class CompactifiedReward:
 # -- exact policy evaluation ---------------------------------------------------
 
 def _policy_value(
-    kernel: np.ndarray, dt: float, run: np.ndarray, term: np.ndarray, region: np.ndarray
+    kernel: np.ndarray, dt: float, run: np.ndarray, term: np.ndarray,
+    region: np.ndarray, solve_on: np.ndarray,
 ) -> np.ndarray:
-    """Exact value of the hitting rule of ``region``.
+    """Exact value of the hitting rule of ``region``, solved on ``solve_on``,
+    the states off the region that the caller knows enter it almost surely.
 
-    States from which the region is not hit almost surely get -inf: with
-    positive escape probability the running cost accrues forever and the
-    capped functionals diverge to minus infinity.
+    Every other state off the region gets -inf: with positive escape
+    probability the running cost accrues forever and the capped functionals
+    diverge to minus infinity.
     """
     v = np.full(len(term), -np.inf)
     v[region] = term[region]
-    good = surely_hits(kernel, region) > region
-    if good.any():
-        A = np.eye(good.sum()) - kernel[np.ix_(good, good)]
-        rhs = dt * run[good] + kernel[np.ix_(good, region)] @ term[region]
+    if solve_on.any():
+        A = np.eye(solve_on.sum()) - kernel[np.ix_(solve_on, solve_on)]
+        rhs = dt * run[solve_on] + kernel[np.ix_(solve_on, region)] @ term[region]
         sol = np.linalg.solve(A, rhs)
         sol += np.linalg.solve(A, rhs - A @ sol)
-        v[good] = sol
+        v[solve_on] = sol
     return v
 
 
 def region_value(model: MarkovModel, rewards: RewardSpec, region) -> np.ndarray:
     """Value of stopping at the first entry to ``region``; -inf where the
-    region is missed with positive probability, everywhere for an empty one."""
+    region is missed with positive probability, everywhere for an empty one.
+    One graph search finds where the region is hit almost surely."""
     mask = region_mask(model, region)
-    return _policy_value(model.kernel, model.dt, rewards.f, rewards.g, mask)
+    return _policy_value(
+        model.kernel, model.dt, rewards.f, rewards.g, mask,
+        surely_hits(model.kernel, mask) > mask,
+    )
 
 
 def expected_hitting_time(model: MarkovModel, region) -> np.ndarray:
-    """E^x[first entry time of region] in time units; inf off the a.s.-hit set."""
-    mask = region_mask(model, region)
-    good = surely_hits(model.kernel, mask) > mask
-    t = np.where(mask, 0.0, np.inf)
-    if good.any():
-        sub = model.kernel[np.ix_(good, good)]
-        t[good] = np.linalg.solve(
-            np.eye(good.sum()) - sub, np.full(good.sum(), model.dt)
-        )
-    return t
+    """E^x[first entry time of region] in time units; inf off the a.s.-hit set:
+    minus the hitting rule's value at running reward -1, terminal reward 0."""
+    zeros = np.zeros(model.n_states)
+    return 0.0 - region_value(model, RewardSpec(f=zeros - 1.0, g=zeros), region)
 
 
 # -- certified solver ----------------------------------------------------------
@@ -173,14 +174,16 @@ def expected_hitting_time(model: MarkovModel, region) -> np.ndarray:
 def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.ndarray):
     """Howard policy iteration over hitting rules, from stopping everywhere.
 
-    Each round evaluates the current stop region exactly and shrinks it to
-    the states where stopping still weakly beats one more step. On a chain
-    with one recurrent class and mu(run) <= 0 the values rise, stay finite,
-    and the region only shrinks, so it settles within n + 1 rounds; the last
-    evaluation is then a Bellman fixed point up to the tie tolerance, which
-    the returned residual certifies. Each round's tie is ``residual_tol`` of
-    the Bellman equation's terms, so ties and the certificate scale with the
-    rewards.
+    Each round evaluates the current stop region exactly, on its continuation
+    set ``~region``, and shrinks it to the states where stopping still weakly
+    beats one more step. Precondition, checked once by the caller: the chain
+    has one recurrent class and mu(run) <= 0. The values then rise and stay
+    finite, so every region meets the recurrent class and is entered almost
+    surely, and the region only shrinks, settling within n + 1 rounds; the
+    last evaluation is then a Bellman fixed point up to the tie tolerance,
+    which the returned residual certifies. Each round's tie is
+    ``residual_tol`` of the Bellman equation's terms, so ties and the
+    certificate scale with the rewards.
 
     Returns (w, region, residual, tie, certified, rounds).
     """
@@ -188,7 +191,7 @@ def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.nd
     run_dt = dt * run
     region = np.ones(n, dtype=bool)
     for rounds in range(1, n + 2):
-        v = _policy_value(kernel, dt, run, term, region)
+        v = _policy_value(kernel, dt, run, term, region, ~region)
         cont = run_dt + kernel @ v
         tie = residual_tol(term, run_dt, v)
         improved = term + tie >= cont
@@ -201,17 +204,15 @@ def _certified_solve(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.nd
 
 
 def solve_infinite_horizon(
-    model: MarkovModel,
-    rewards: RewardSpec,
-    delta: float = DEFAULT_DELTA,
-    d=None,
+    model: MarkovModel, rewards: RewardSpec, delta: float = DEFAULT_DELTA, d=None
 ) -> InfiniteHorizonSolution:
     """Solve the undiscounted stopping problem and certify the result.
 
     Refuses models with mu(f) >= 0 (the mean drift must penalize delay,
     otherwise the value may be infinite) and reducible chains. ``d`` may
     override the default constant delta * mu(f) used for the stopping-time
-    bound; it must be negative per state.
+    bound; it must be negative per state. A certified solution whose
+    expected_tau exceeds Z raises ``BoundViolated``.
     """
     if not is_irreducible(model.kernel):
         raise NotIrreducible("infinite-horizon solver needs an irreducible chain")
@@ -227,19 +228,14 @@ def solve_infinite_horizon(
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
         d = delta * rewards.mu_f
     d_vec = _negative_d(model, d)
-    gamma, Z = _gamma_and_bound(model, rewards, d_vec)
+    gamma, _, Z = _gamma_and_bound(model, rewards, d_vec)
+    expected_tau = expected_hitting_time(model, region)
+    if certified:
+        _check_bound(expected_tau, Z)
     return InfiniteHorizonSolution(
-        w=w,
-        region=region,
-        excess=w - rewards.g,
-        fixed_point_residual=residual,
-        tie=tie,
-        certified=certified,
-        iterations=iterations,
-        gamma=gamma,
-        d=d_vec,
-        Z=Z,
-        expected_tau=expected_hitting_time(model, region),
+        w=w, region=region, excess=w - rewards.g, fixed_point_residual=residual,
+        tie=tie, certified=certified, iterations=iterations, gamma=gamma, d=d_vec,
+        Z=Z, expected_tau=expected_tau,
     )
 
 
@@ -251,10 +247,21 @@ def _negative_d(model: MarkovModel, d) -> np.ndarray:
 
 
 def _gamma_and_bound(model: MarkovModel, rewards: RewardSpec, d_vec: np.ndarray):
-    """gamma and Z = (gamma + max g+ - g + 1) / (-d) for a negative d."""
+    """gamma, max g+ and Z = (gamma + max g+ - g + 1) / (-d) for a negative d."""
     gamma = _gamma(model, rewards.f, rewards.mu_f, d_vec)
     zeta_plus = float(np.maximum(rewards.g, 0.0).max())
-    return gamma, (gamma + zeta_plus - rewards.g + 1.0) / (-d_vec)
+    return gamma, zeta_plus, (gamma + zeta_plus - rewards.g + 1.0) / (-d_vec)
+
+
+def _check_bound(expected_tau: np.ndarray, Z: np.ndarray) -> None:
+    """Refuse E^x[tau*] > Z(x) beyond ``residual_tol``: the bound is a
+    theorem for certified solutions, so a violation is a hard failure."""
+    if not np.all(expected_tau <= Z + residual_tol(expected_tau, Z)):
+        worst = int(np.argmax(expected_tau - Z))
+        raise BoundViolated(
+            f"expected_tau[{worst}] = {expected_tau[worst]} exceeds "
+            f"Z[{worst}] = {Z[worst]}: solver bug"
+        )
 
 
 def stopping_rule_eps(solution: InfiniteHorizonSolution, eps: float) -> np.ndarray:
@@ -313,27 +320,19 @@ def stopping_time_bound(
     """Explicit bound on the optimal rule's expected stopping time.
 
     E[max g+] reduces to max g+ by recurrence on an irreducible chain. The
-    inequality expected_tau <= Z is guaranteed for certified solutions, so a
-    violation is a hard failure, not a diagnostic.
+    inequality expected_tau <= Z is checked as ``solve_infinite_horizon``
+    checks it for its own d.
     """
     if not is_irreducible(model.kernel):
         raise NotIrreducible("bound needs an irreducible chain")
     if not solution.certified:
         raise ValueError("stopping-time bound requires a certified solution")
     d_vec = _negative_d(model, d)
-    gamma, Z = _gamma_and_bound(model, rewards, d_vec)
-    zeta_plus = float(np.maximum(rewards.g, 0.0).max())
-    expected_tau = solution.expected_tau
-    ok = bool(np.all(expected_tau <= Z + residual_tol(expected_tau, Z)))
-    if not ok:
-        worst = int(np.argmax(expected_tau - Z))
-        raise BoundViolated(
-            f"expected_tau[{worst}] = {expected_tau[worst]} exceeds "
-            f"Z[{worst}] = {Z[worst]}: solver bug"
-        )
+    gamma, zeta_plus, Z = _gamma_and_bound(model, rewards, d_vec)
+    _check_bound(solution.expected_tau, Z)
     return BoundReport(
         d=d_vec, gamma=gamma, zeta_plus=zeta_plus, Z=Z,
-        expected_tau=expected_tau, ok=ok,
+        expected_tau=solution.expected_tau, ok=True,
     )
 
 
@@ -374,22 +373,22 @@ def brute_force_region_oracle(model: MarkovModel, rewards: RewardSpec) -> Oracle
 
 
 def check_condition_S(
-    model: MarkovModel,
-    rewards: RewardSpec,
-    zero_potential,
-    delta: float,
+    model: MarkovModel, rewards: RewardSpec, zero_potential, delta: float
 ) -> ConditionSReport:
     """Verify the drift-sufficiency identity bar_gamma = gamma - q.
 
     bar_gamma is the stopping value with constant running reward
     (1 - delta) * mu(f) and terminal reward -q; gamma uses d = delta * mu(f).
     The identity is exact on the grid because the zero-potential shifts
-    every hitting rule's value by -q.
+    every hitting rule's value by -q. Refuses a chain with more than one
+    recurrent class, the precondition of its policy iterations.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if rewards.mu_f >= 0:
         raise DriftNotNegative(f"mu(f) = {rewards.mu_f} >= 0")
+    if len(recurrent_classes(model.kernel)) != 1:
+        raise NotIrreducible("condition S needs a chain with one recurrent class")
     q = np.asarray(zero_potential.q if hasattr(zero_potential, "q") else zero_potential)
     run = np.full(model.n_states, (1.0 - delta) * rewards.mu_f)
     bar, _, residual, _, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
@@ -403,8 +402,7 @@ def check_condition_S(
     gap = float(np.max(np.abs(bar - (gamma - q))))
     return ConditionSReport(
         delta=delta, bar_gamma=bar, gamma=gamma, identity_gap=gap,
-        holds=bool(np.isfinite(bar).all() and rewards.mu_f < 0
-                   and gap <= residual_tol(bar, gamma, q)),
+        holds=bool(gap <= residual_tol(bar, gamma, q)),
     )
 
 
@@ -418,6 +416,7 @@ def compactify_running_reward(
     """
     if model.coords is None:
         raise NoCoords("compactification needs per-state coordinates")
+    center = state_index(model, center, "center")
     fv = np.asarray(f, dtype=float)
     mu_f = float(mu.weights @ fv)
     if mu_f >= 0:

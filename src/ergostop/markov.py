@@ -373,6 +373,15 @@ def region_mask(model: MarkovModel, region) -> np.ndarray:
     return mask
 
 
+def state_index(model: MarkovModel, i, name: str) -> int:
+    """State index ``i``, refused unless 0 <= i < n: a negative index would
+    silently wrap to the last states."""
+    n = model.n_states
+    if not 0 <= i < n:
+        raise DimensionMismatch(f"{name} index {i} out of range for {n} states")
+    return int(i)
+
+
 def grid_steps(times, dt: float):
     """Number of dt steps in each time (an int array shaped like ``times``);
     raises ValueError for a time off the grid."""
@@ -532,9 +541,7 @@ def simulate_block(
 def batch_starts(model: MarkovModel, start: int, horizon_steps: int, n_paths: int):
     """Start states of a batch of ``n_paths`` paths from ``start``, after
     checking the start, the horizon and the path count."""
-    n = model.n_states
-    if not 0 <= start < n:
-        raise DimensionMismatch(f"start index {start} out of range for {n} states")
+    start = state_index(model, start, "start")
     if horizon_steps < 0:
         raise ValueError("horizon_steps must be >= 0")
     if n_paths < 1:

@@ -30,6 +30,7 @@ from .markov import (
     residual_tol,
     simulate_block,
     simulate_paths,
+    state_index,
     surely_hits,
 )
 from .rewards import RewardSpec
@@ -195,6 +196,7 @@ def terminal_truncation_gap(
     the largest horizon.
     """
     mask = region_mask(model, region)
+    start = state_index(model, start, "start")
     steps = _horizon_steps(model, horizons)
     if not surely_hits(model.kernel, mask)[start]:
         raise UnreachableRegion(

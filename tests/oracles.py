@@ -1,9 +1,14 @@
-"""Independent oracles: brute force only, no shared code paths with the solvers."""
+"""Independent oracles: brute force only, no shared code paths with the solvers.
+
+``reference_policy_iteration`` is the exception: a kept reference for the
+solver's rounds, sharing its tolerance so that the two agree bit for bit.
+"""
 
 import math
 
 import numpy as np
 
+from ergostop.markov import residual_tol, surely_hits
 
 
 def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:
@@ -239,3 +244,34 @@ def loop_simulate_block(model, states, seed, path_ids, block, steps, stop=None):
         state[live] = np.minimum((cdf[state[live]] <= u[live, k, None]).sum(axis=1), n - 1)
         paths[:, k + 1] = state
     return paths
+
+
+def reference_policy_iteration(kernel, dt, run, term):
+    """Howard policy iteration over hitting rules with a graph search in every
+    round: each region is evaluated on the states off it that enter it almost
+    surely (``surely_hits``), -inf elsewhere. The reference for
+    ``infinite_horizon._certified_solve``, which takes ``~region`` instead.
+
+    Returns (w, region, residual, tie, certified, rounds).
+    """
+    n = len(term)
+    run_dt = dt * run
+    region = np.ones(n, dtype=bool)
+    for rounds in range(1, n + 2):
+        v = np.full(n, -np.inf)
+        v[region] = term[region]
+        good = surely_hits(kernel, region) > region
+        if good.any():
+            A = np.eye(good.sum()) - kernel[np.ix_(good, good)]
+            rhs = dt * run[good] + kernel[np.ix_(good, region)] @ term[region]
+            sol = np.linalg.solve(A, rhs)
+            sol += np.linalg.solve(A, rhs - A @ sol)
+            v[good] = sol
+        cont = run_dt + kernel @ v
+        tie = residual_tol(term, run_dt, v)
+        improved = term + tie >= cont
+        if (improved == region).all():
+            residual = float(np.max(np.abs(v - np.maximum(term, cont))))
+            return v, region, residual, tie, residual <= tie, rounds
+        region = improved
+    raise ArithmeticError(f"policy iteration did not settle within {n + 1} rounds")

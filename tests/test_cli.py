@@ -13,7 +13,7 @@ from conftest import (
     CHAIN_B_KERNEL,
     chain_b_generator_rows,
 )
-from ergostop import build_dtmc, markov, montecarlo
+from ergostop import build_dtmc, infinite_horizon, markov, montecarlo
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
@@ -184,6 +184,22 @@ def test_solve_infinite_drift_verdict_exit_2(tmp_path):
     assert code == 2
     verdict = read_json(os.path.join(out, "verdict.json"))
     assert verdict["verdict"] == "DriftNotNegative"
+
+
+def test_solve_infinite_bound_violation_exit_2(tmp_path, monkeypatch):
+    # gamma = 0 puts Z(0) = (3 - 0 + 1) / 0.5 = 8 below E^0[tau*] = 24 on chain B
+    path = tmp_path / "chain_b.json"
+    path.write_text(json.dumps({
+        "states": [str(i) for i in range(5)], "kernel": CHAIN_B_KERNEL, "dt": 1.0,
+        "f": [2.0, 1.0, -1.0, -3.0, -4.0], "g": [0.0, 1.0, 3.0, 1.0, 0.0],
+    }))
+    monkeypatch.setattr(infinite_horizon, "_gamma", lambda model, *args: np.zeros(5))
+    out = str(tmp_path / "out")
+    assert run(["solve-infinite", "--model", str(path), "--out", out]) == 2
+    verdict = read_json(os.path.join(out, "verdict.json"))
+    assert verdict["verdict"] == "BoundViolated"
+    assert "expected_tau[0] = 24" in verdict["message"]
+    assert not os.path.exists(os.path.join(out, "values.csv"))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHAIN_A_F, CHAIN_A_G, random_chain, random_rewards
 from ergostop import (
@@ -19,7 +23,7 @@ from ergostop import (
     zero_potential,
 )
 from ergostop import infinite_horizon
-from ergostop.markov import residual_tol
+from ergostop.markov import residual_tol, surely_hits
 from ergostop.rewards import reward_vectors
 from ergostop.errors import (
     DriftNotNegative,
@@ -27,6 +31,20 @@ from ergostop.errors import (
     NotIrreducible,
     TooManyStates,
 )
+from oracles import reference_policy_iteration
+
+
+def walk(n, g=None):
+    """Lazy reflecting walk, slow to mix: hold 1/2, step +-1 with 1/4 each;
+    f = -1.2 on the left half, 0.3 on the right, g = 5 sin(x / 7) unless given."""
+    P = 0.5 * np.eye(n)
+    for x in range(n):
+        P[x, max(x - 1, 0)] += 0.25
+        P[x, min(x + 1, n - 1)] += 0.25
+    m = build_dtmc(range(n), P)
+    x = np.arange(n)
+    g = 5.0 * np.sin(x / 7.0) if g is None else g(x)
+    return m, make_rewards(m, np.where(x < n // 2, -1.2, 0.3), g)
 
 
 def test_solve_strictly_losing(chain_a):
@@ -97,6 +115,7 @@ def test_hitting_rule_counts_paths_through_region_as_hits():
         region_value(m, rw, [1]), [0.5 * -1.0 + 6.0, 6.0, -np.inf], atol=1e-12
     )
     np.testing.assert_allclose(expected_hitting_time(m, [1]), [0.5, 0.0, np.inf])
+    assert not np.signbit(expected_hitting_time(m, [1])[1])
 
 
 def test_region_value_empty_region(chain_a, chain_a_rewards):
@@ -212,21 +231,105 @@ def test_certified_equals_long_horizon_limit_dense_150():
     np.testing.assert_allclose(fh.surface[200], sol.w, rtol=0, atol=1e-9)
 
 
-def test_certified_dominates_horizon_surface_walk_120():
-    # lazy reflecting walk, slow to mix: hold 1/2, step +-1 with 1/4 each
-    n = 120
-    P = 0.5 * np.eye(n)
-    for x in range(n):
-        P[x, max(x - 1, 0)] += 0.25
-        P[x, min(x + 1, n - 1)] += 0.25
-    m = build_dtmc(range(n), P)
-    x = np.arange(n)
-    rw = make_rewards(m, np.where(x < n // 2, -1.2, 0.3), 5.0 * np.sin(x / 7.0))
+@pytest.mark.parametrize(
+    "n, g", [(120, None), (500, None), (250, lambda x: x.astype(float))],
+    ids=["120", "500", "250-g-linear"],
+)
+def test_certified_dominates_horizon_surface_walk(n, g):
+    # g = x is unbounded as n grows: the paper's setting
+    m, rw = walk(n, g)
     sol = solve_infinite_horizon(m, rw)
     assert sol.certified
     assert sol.iterations <= n + 1
     fh = solve_finite_horizon(m, rw, 2000)
     assert (fh.surface <= sol.w + 1e-9).all()
+    assert (sol.expected_tau <= sol.Z).all()
+
+
+def _one_class_chain(rng, n):
+    """Random chain of n >= 2 states: one recurrent class of 1..n-1 states,
+    irreducible through a cycle, and transient states that each step with
+    positive probability into the class or to an earlier transient state;
+    the states are shuffled."""
+    r = int(rng.integers(1, n))
+    P = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    P[:r, r:] = 0.0
+    P[np.arange(r), (np.arange(r) + 1) % r] += 0.1 + rng.random(r)
+    for j in range(r, n):
+        P[j, rng.integers(0, j)] += 0.1 + rng.random()
+    P /= P.sum(axis=1, keepdims=True)
+    perm = rng.permutation(n)
+    return build_dtmc(range(n), P[np.ix_(perm, perm)], dt=float(rng.choice([0.5, 1.0, 2.0])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+def test_rounds_solve_on_the_continuation_set_as_the_reference(seed, n, boundary):
+    # mu(run) < 0, or mu(run) = 0 up to rounding: the boundary gamma meets at d = mu(f)
+    rng = np.random.default_rng(seed)
+    m = _one_class_chain(rng, n)
+    mu = stationary_distribution(m)
+    f = rng.normal(0.0, 2.0, n)
+    f = f - float(mu.weights @ f) - (0.0 if boundary else 0.1 + rng.random())
+    g = rng.normal(0.0, 3.0, n)
+    real = infinite_horizon._policy_value
+    rounds = []
+
+    def spy(kernel, dt, run, term, region, solve_on):
+        rounds.append((region.copy(), solve_on.copy()))
+        return real(kernel, dt, run, term, region, solve_on)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infinite_horizon, "_policy_value", spy)
+        w, region, _, _, certified, n_rounds = infinite_horizon._certified_solve(
+            m.kernel, m.dt, f, g
+        )
+    assert len(rounds) == n_rounds
+    for stop, solve_on in rounds:
+        np.testing.assert_array_equal(solve_on, surely_hits(m.kernel, stop) > stop)
+    ref_w, ref_region, _, _, ref_certified, ref_rounds = reference_policy_iteration(
+        m.kernel, m.dt, f, g
+    )
+    assert w.tobytes() == ref_w.tobytes()
+    np.testing.assert_array_equal(region, ref_region)
+    assert (certified, n_rounds) == (ref_certified, ref_rounds)
+
+
+@pytest.fixture
+def graph_searches(monkeypatch):
+    """Count the calls of ``surely_hits`` made from the solver module."""
+    calls = []
+
+    def counted(kernel, region):
+        calls.append(1)
+        return surely_hits(kernel, region)
+
+    monkeypatch.setattr(infinite_horizon, "surely_hits", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_one_graph_search_per_solve_whatever_the_rounds(graph_searches, n):
+    m, rw = walk(n)
+    sol = solve_infinite_horizon(m, rw)
+    assert sol.iterations > 2
+    assert len(graph_searches) == 1
+
+
+def test_gamma_and_condition_s_search_no_graph(graph_searches, chain_b, chain_b_rewards):
+    mu = stationary_distribution(chain_b)
+    gamma_value(chain_b, chain_b_rewards.f, chain_b_rewards.mu_f)
+    check_condition_S(chain_b, chain_b_rewards, zero_potential(chain_b, chain_b_rewards.f, mu),
+                      0.5)
+    assert graph_searches == []
+
+
+def test_condition_s_refuses_two_recurrent_classes():
+    # states 0 and 2 absorb, so a round's region may miss a recurrent class
+    m = build_dtmc(range(3), [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    rw = dataclasses.replace(reward_vectors(m, [-1.0] * 3, [0.0, 1.0, 0.0]), mu_f=-1.0)
+    with pytest.raises(NotIrreducible):
+        check_condition_S(m, rw, np.zeros(3), 0.5)
 
 
 def test_monotone_horizon_sweep(chain_b, chain_b_rewards):

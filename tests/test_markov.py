@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,10 +11,16 @@ from ergostop import (
     b_family_diagnostics,
     build_dtmc,
     build_from_generator,
+    compactify_running_reward,
     region_value,
     simulate_paths,
     stationary_distribution,
+    stopped_potential_exact,
     survival_probability,
+    terminal_truncation_gap,
+    tv_distance_curve,
+    verify_dynkin_identity,
+    zero_potential,
 )
 from ergostop.errors import (
     BadGenerator,
@@ -230,19 +237,43 @@ def test_chain_period_matches_bfs_reference():
                 assert chain_period(K) == bfs_chain_period(adjacency(K)) == expected
 
 
+# Entries that take one state index ``i``; -1 must not wrap to the last state.
+STATE_INDEX_CALLS = {
+    "tv-probe": lambda m, rw, i: tv_distance_curve(
+        m, stationary_distribution(m), [0, i], 4.0),
+    "truncation-gap-start": lambda m, rw, i: terminal_truncation_gap(
+        m, rw, [2], i, [4.0], 100, 1),
+    "stopped-potential-start": lambda m, rw, i: stopped_potential_exact(
+        m, rw.f, stationary_distribution(m), np.zeros(5), [2], 3, i),
+    "dynkin-start": lambda m, rw, i: verify_dynkin_identity(
+        m, zero_potential(m, rw.f, stationary_distribution(m)), rw.f,
+        stationary_distribution(m), [2], 0, i, 100, 1),
+    "compactify-center": lambda m, rw, i: compactify_running_reward(
+        m, rw.f, stationary_distribution(m), center=i),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "chain, call",
     [
-        lambda m, rw: region_value(m, rw, [-1]),
-        lambda m, rw: region_value(m, rw, [2]),
-        lambda m, rw: survival_probability(m, [True], 2),
-        lambda m, rw: b_family_diagnostics(m, rw, 2, [[True, True, True]], [0]),
+        pytest.param("chain_a", lambda m, rw: region_value(m, rw, [-1]),
+                     id="negative-index"),
+        pytest.param("chain_a", lambda m, rw: region_value(m, rw, [2]),
+                     id="index-past-end"),
+        pytest.param("chain_a", lambda m, rw: survival_probability(m, [True], 2),
+                     id="short-mask"),
+        pytest.param("chain_a", lambda m, rw: b_family_diagnostics(
+            m, rw, 2, [[True, True, True]], [0]), id="nested-mask"),
+        *[pytest.param("chain_b", partial(call, i=i), id=f"{name}-{where}")
+          for name, call in STATE_INDEX_CALLS.items()
+          for i, where in ((-1, "negative"), (5, "past-end"))],
     ],
-    ids=["negative-index", "index-past-end", "short-mask", "nested-mask"],
 )
-def test_malformed_regions_raise_dimension_mismatch(chain_a, chain_a_rewards, call):
+def test_malformed_regions_raise_dimension_mismatch(request, chain, call):
+    model = request.getfixturevalue(chain)
+    rewards = request.getfixturevalue(f"{chain}_rewards")
     with pytest.raises(DimensionMismatch):
-        call(chain_a, chain_a_rewards)
+        call(model, rewards)
 
 
 def test_simulate_identity_kernel_constant_paths():

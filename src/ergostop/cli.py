@@ -1,9 +1,10 @@
 """Batch front door: model ingestion, solver dispatch, report emission.
 
-Exit codes: 0 success, 1 malformed input, 2 mathematical verdict (the input
-parsed fine but a standing assumption fails, e.g. nonnegative mean drift),
-3 numerical failure (a solve or simulation could not certify its result, e.g.
-a residual above tolerance). Exits 2 and 3 also write ``verdict.json``.
+Exit codes: 0 success, 1 malformed input (or a run that ran out of memory),
+2 mathematical verdict (the input parsed fine but a standing assumption
+fails, e.g. nonnegative mean drift), 3 numerical failure (a solve or
+simulation could not certify its result, e.g. a residual above tolerance).
+Exits 2 and 3 also write ``verdict.json``.
 Every run writes a manifest recording the resolved configuration, the model
 file digest, the master seed, and timing; re-running reproduces the solver
 outputs byte for byte.
@@ -190,6 +191,9 @@ def run(argv) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     for p in paths:
         print(p)
     return 0
@@ -233,10 +237,8 @@ def _dispatch(args):
         rewards = reward_vectors(model, mf.f, mf.g)
         try:
             steps = int(grid_steps(args.horizon, model.dt))
-        except ValueError:
-            raise ConflictingFlags(
-                f"--horizon {args.horizon} is not a multiple of dt {model.dt}"
-            ) from None
+        except ValueError as exc:
+            raise ConflictingFlags(f"--horizon {args.horizon}: {exc}") from None
         if args.truncate is not None:
             sol = solve_truncated(model, rewards, steps, args.truncate)
         else:

@@ -384,9 +384,18 @@ def state_index(model: MarkovModel, i, name: str) -> int:
 
 def grid_steps(times, dt: float):
     """Number of dt steps in each time (an int array shaped like ``times``);
-    raises ValueError for a time off the grid."""
-    steps = np.asarray(times, dtype=float) / dt
+    raises ValueError for a time that is not finite, whose step count does
+    not fit int64, or that is off the grid."""
+    grid = np.asarray(times, dtype=float)
+    steps = grid / dt
     rounded = np.round(steps)
+    # NaN fails every comparison, so the cast below sees only int64 counts
+    bad = ~(np.abs(rounded) < 2.0**63)
+    if np.any(bad):
+        t = grid[bad][0]
+        if not np.isfinite(t):
+            raise ValueError(f"time {t} is not finite")
+        raise ValueError(f"time {t} has too many steps of dt = {dt} for int64")
     if np.any(np.abs(steps - rounded) > 1e-9 * np.maximum(1.0, np.abs(steps))):
         raise ValueError(f"time {times} is not a multiple of dt = {dt}")
     return rounded.astype(int)
@@ -462,22 +471,67 @@ def stream_keys(seed: int, path_ids, block: int) -> np.ndarray:
     return np.stack([w0 | w1 << 32, w2 | w3 << 32], axis=1)
 
 
-def path_uniforms(seed: int, path_ids, block: int, steps: int) -> np.ndarray:
-    """Row r holds the first ``steps`` uniforms of the Philox stream keyed by
-    ``SeedSequence(entropy=(seed, path_ids[r], block))``, drawn by one Philox
-    generator that is set to each row's key in turn."""
-    keys = stream_keys(seed, path_ids, block)
-    u = np.empty((len(keys), steps))
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    # a new stream: counter 0 and an empty buffer, so the first draw is at counter 1
-    fresh = bitgen.state | {"buffer_pos": 4}
-    fresh["state"]["counter"] = [0, 0, 0, 0]
-    for r, key in enumerate(keys):
-        fresh["state"]["key"] = key
-        bitgen.state = fresh
-        gen.random(out=u[r])
-    return u
+# Philox4x64-10 (Salmon et al., SC 2011; the constants of Random123 and numpy)
+_PHILOX_MULT = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_PHILOX_BUMP = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_PHILOX_TILE = 1 << 14    # row x counter blocks per pass: small temporaries run faster
+
+
+def _mulhilo(a: np.ndarray, mult: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products ``a * mult``, the
+    high word from the 32-bit halves (uint64 arrays wrap without a warning)."""
+    m_lo, m_hi = mult & _LOW32, mult >> _SHIFT32
+    a_lo, hi = a & _LOW32, a >> _SHIFT32
+    low = a_lo * m_lo
+    low >>= _SHIFT32
+    mid = hi * m_lo
+    mid += low
+    cross = a_lo * m_hi
+    cross += mid & _LOW32
+    mid >>= _SHIFT32
+    cross >>= _SHIFT32
+    hi *= m_hi
+    hi += mid
+    hi += cross
+    return a * mult, hi
+
+
+def _philox(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the blocks ``[c, 0, 0, 0]`` under each key row: the
+    (rows, counters, 4) output words."""
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    zero = np.zeros((len(keys), len(counters)), dtype=np.uint64)
+    x = [zero + counters, zero, zero, zero]
+    for _ in range(10):
+        lo0, hi0 = _mulhilo(x[0], _PHILOX_MULT[0])
+        lo1, hi1 = _mulhilo(x[2], _PHILOX_MULT[1])
+        hi1 ^= x[1]
+        hi1 ^= k0
+        hi0 ^= x[3]
+        hi0 ^= k1
+        x = [hi1, lo1, hi0, lo0]
+        k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+    return np.stack(x, axis=2)
+
+
+def stream_uniforms(keys: np.ndarray, counters) -> np.ndarray:
+    """The uniforms of Philox blocks ``[c, 0, 0, 0]``, for each key row of
+    ``stream_keys`` and each counter c, computed over arrays for many rows
+    at once: row r holds the four uniforms ``(word >> 11) * 2**-53`` of each
+    counter in turn.
+
+    numpy's Philox advances its counter before each block, so uniform k of a
+    fresh stream is word k % 4 of counter k // 4 + 1.
+    """
+    counters = np.asarray(counters, dtype=np.uint64)
+    u = np.empty((len(keys), len(counters), 4))
+    tile = max(1, _PHILOX_TILE // max(1, len(counters)))
+    for r in range(0, len(keys), tile):
+        words = _philox(keys[r:r + tile], counters)
+        words >>= np.uint64(11)
+        np.multiply(words, 2.0**-53, out=u[r:r + tile])
+    return u.reshape(len(keys), 4 * len(counters))
 
 
 def support_tables(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,20 +574,31 @@ def simulate_block(
     rows comes out the same drawn alone. Rows in the boolean state mask
     ``stop`` stay put. Returns the (len(path_ids), steps + 1) state indices,
     ``states`` first.
+
+    Uniforms are drawn only for the rows still live, in chunks of Philox
+    counters ``[c, 2c - 1]`` that double from c = 1: a row that stops within
+    four steps costs one block, and no row costs twice the blocks it reads.
     """
     paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
-    u = path_uniforms(seed, path_ids, block, steps)
+    keys = stream_keys(seed, path_ids, block)
     cum, succ = support_tables(model.kernel)
     state = np.array(states, dtype=np.int64)
     paths[:, 0] = state
-    live = slice(None) if stop is None else np.arange(len(u))
+    live = row = np.arange(len(keys))
+    last = -(-steps // 4)   # the counter that holds the last step's uniform
+    drawn = 0               # steps covered by the counters drawn so far
     for k in range(steps):
         if stop is not None:
-            live = live[~stop[state[live]]]
+            keep = ~stop[state[live]]
+            live, row = live[keep], row[keep]
             if not len(live):
                 paths[:, k + 1:] = state[:, None]
                 break
-        state[live] = support_step(cum, succ, state[live], u[live, k])
+        if k == drawn:
+            c = k // 4 + 1
+            u = stream_uniforms(keys[live], np.arange(c, min(2 * c, last + 1)))
+            row, first, drawn = np.arange(len(live)), k, 4 * min(2 * c - 1, last)
+        state[live] = support_step(cum, succ, state[live], u[row, k - first])
         paths[:, k + 1] = state
     return paths
 

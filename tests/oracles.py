@@ -14,7 +14,7 @@ from ergostop.markov import residual_tol, surely_hits
 def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:
     """The per-path random stream (seed, path, block) built on its own: a
     Philox generator seeded by ``SeedSequence(entropy=(seed, path, block))``,
-    the reference for ``stream_keys`` and ``path_uniforms``."""
+    the reference for ``stream_keys`` and ``stream_uniforms``."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=(seed, path_index, block)))
     )

@@ -13,7 +13,7 @@ from conftest import (
     CHAIN_B_KERNEL,
     chain_b_generator_rows,
 )
-from ergostop import build_dtmc, infinite_horizon, markov, montecarlo
+from ergostop import build_dtmc, cli, ergodicity, infinite_horizon, markov, montecarlo
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
@@ -270,6 +270,42 @@ def test_input_error_exit_1(tmp_path):
 def test_horizon_must_sit_on_grid(tmp_path):
     model = write_chain_a(tmp_path)
     assert run(["solve", "--model", model, "--horizon", "2.5"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--horizon", "nan"], "time nan is not finite"),
+        (["diagnose", "--check", "tv", "--max-time", "inf"], "time inf is not finite"),
+        (["simulate", "--region", "1", "--horizons", "8,nan"], "time nan is not finite"),
+        (["simulate", "--region", "1", "--horizons", "1e30"], "time 1e+30 has too many steps"),
+    ],
+    ids=["solve-nan", "tv-inf", "simulate-nan", "simulate-1e30"],
+)
+def test_times_off_the_int64_grid_exit_1(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "out")
+    assert run([*argv, "--model", write_chain_a(tmp_path), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (cli, ["simulate", "--region", "1", "--horizons", "4,8"]),
+        (ergodicity, ["diagnose", "--check", "dynkin", "--region", "1", "--cap", "8"]),
+    ],
+    ids=["simulate", "dynkin"],
+)
+def test_out_of_memory_exit_1(tmp_path, monkeypatch, capsys, module, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+    monkeypatch.setattr(module, "estimate_functional", exhausted)
+    out = str(tmp_path / "out")
+    assert run([*argv, "--model", write_chain_a(tmp_path), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 37.3 GiB for an array\n"
 
 
 def test_dt_override_conflicts_with_kernel_model(tmp_path):

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import CHAIN_A_KERNEL, random_chain
+from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_A_KERNEL, random_chain
 from ergostop import (
     Distribution,
     apply_transition,
@@ -12,6 +12,9 @@ from ergostop import (
     build_dtmc,
     build_from_generator,
     compactify_running_reward,
+    estimate_functional,
+    make_rewards,
+    markov,
     region_value,
     simulate_paths,
     stationary_distribution,
@@ -34,10 +37,11 @@ from ergostop.markov import (
     adjacency,
     chain_period,
     is_irreducible,
-    path_uniforms,
     reaches,
     recurrent_classes,
     simulate_block,
+    stream_keys,
+    stream_uniforms,
     support_step,
     support_tables,
     surely_hits,
@@ -324,15 +328,24 @@ def test_simulate_block_is_splittable_by_path_id(chain_b):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
 def test_path_uniforms_are_the_path_streams_bit_for_bit(seed):
+    # the uniforms a path steps on: Philox blocks of its stream, from counter 1
     ids = [0, 1, 5, 2**31, 2**32 - 1]
     for block in range(4):
+        keys = stream_keys(seed, ids, block)
         for steps in (0, 1, 3, 4, 5, 64, 257):
-            u = path_uniforms(seed, ids, block, steps)
+            u = stream_uniforms(keys, np.arange(1, -(-steps // 4) + 1))[:, :steps]
             assert u.shape == (len(ids), steps)
             for r, i in enumerate(ids):
                 expected = path_stream(seed, i, block).random(steps)
                 np.testing.assert_array_equal(u[r].view(np.uint64), expected.view(np.uint64))
-        assert path_uniforms(seed, [], block, 5).shape == (0, 5)
+        # counters that start mid-stream
+        for counters in ([2, 3], [5, 6, 7, 8], [9]):
+            u = stream_uniforms(keys, counters)
+            assert u.shape == (len(ids), 4 * len(counters))
+            for r, i in enumerate(ids):
+                expected = path_stream(seed, i, block).random(4 * counters[-1])
+                np.testing.assert_array_equal(u[r], expected[4 * (counters[0] - 1):])
+        assert stream_uniforms(stream_keys(seed, [], block), [1, 2]).shape == (0, 8)
 
 
 @pytest.mark.parametrize(
@@ -342,7 +355,42 @@ def test_path_uniforms_are_the_path_streams_bit_for_bit(seed):
 )
 def test_path_uniforms_reject_keys_outside_the_domain(seed, ids, block):
     with pytest.raises(ValueError):
-        path_uniforms(seed, ids, block, 4)
+        stream_keys(seed, ids, block)
+
+
+@pytest.fixture
+def counted_blocks(monkeypatch):
+    """Row x counter Philox blocks that ``simulate_block`` evaluates."""
+    count = [0]
+
+    def counting(keys, counters):
+        count[0] += len(keys) * len(counters)
+        return stream_uniforms(keys, counters)
+
+    monkeypatch.setattr(markov, "stream_uniforms", counting)
+    return count
+
+
+def test_rows_that_start_stopped_draw_nothing(chain_a, counted_blocks):
+    stop = np.array([False, True])
+    paths = simulate_block(chain_a, np.ones(500, dtype=int), 4, np.arange(500), 0, 64, stop)
+    assert (paths == 1).all() and counted_blocks[0] == 0
+    # the simulate command from a stop state: the functional and the gap
+    rewards = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G)
+    estimate_functional(chain_a, rewards, [1], 1, [8, 16], 500, 4)
+    terminal_truncation_gap(chain_a, rewards, [1], 1, [8, 16], 500, 5)
+    assert counted_blocks[0] == 0
+
+
+def test_rows_draw_blocks_only_while_live(chain_a, counted_blocks):
+    rows, steps = 20000, 64
+    stop = np.array([False, True])
+    paths = simulate_block(chain_a, np.zeros(rows, dtype=int), 3, np.arange(rows), 0, steps, stop)
+    # a row reads the uniforms of the steps it takes before it stops
+    taken = np.where(stop[paths].any(axis=1), stop[paths].argmax(axis=1), steps)
+    read = int((-(-taken // 4)).sum())
+    assert read <= counted_blocks[0] < 2 * read
+    assert counted_blocks[0] < 0.2 * rows * (steps // 4)
 
 
 def test_support_step_never_lands_on_a_zero_probability_state():

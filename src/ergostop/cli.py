@@ -43,6 +43,7 @@ from .finite_horizon import (
     truncation_gap_bound,
 )
 from .infinite_horizon import (
+    DEFAULT_DELTA,
     brute_force_region_oracle,
     compactify_running_reward,
     solve_infinite_horizon,
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-infinite", help="certified infinite-horizon value")
     common(p)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--eps", type=float, default=None,
                    help="also report the eps-relaxed stop region")
 
@@ -358,10 +359,10 @@ def _diagnose(args, mf, names):
     if args.check == "tv":
         probes = (
             _parse_indices(args.probe, model)
-            if args.probe
+            if args.probe is not None
             else list(range(model.n_states))
         )
-        max_time = args.max_time if args.max_time else 32 * model.dt
+        max_time = args.max_time if args.max_time is not None else 32 * model.dt
         profile = fit_ergodic_bound(
             tv_distance_curve(model, mu, probes, max_time)
         )

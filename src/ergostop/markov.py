@@ -603,23 +603,16 @@ def simulate_block(
     return paths
 
 
-def batch_starts(model: MarkovModel, start: int, horizon_steps: int, n_paths: int):
-    """Start states of a batch of ``n_paths`` paths from ``start``, after
-    checking the start, the horizon and the path count."""
+def simulate_paths(
+    model: MarkovModel, start: int, horizon_steps: int, n_paths: int, seed: int
+) -> PathBatch:
+    """Sample n_paths kernel paths from ``start`` on the grid, reproducibly."""
     start = state_index(model, start, "start")
     if horizon_steps < 0:
         raise ValueError("horizon_steps must be >= 0")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return np.full(n_paths, start)
-
-
-def simulate_paths(
-    model: MarkovModel, start: int, horizon_steps: int, n_paths: int, seed: int
-) -> PathBatch:
-    """Sample n_paths kernel paths from ``start`` on the grid, reproducibly."""
     paths = simulate_block(
-        model, batch_starts(model, start, horizon_steps, n_paths), seed,
-        np.arange(n_paths), 0, horizon_steps,
+        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, horizon_steps
     )
     return PathBatch(paths=paths, seed=seed, start=start)

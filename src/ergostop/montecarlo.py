@@ -23,7 +23,6 @@ import numpy as np
 from .errors import NumericalFailure, UnreachableRegion
 from .markov import (
     MarkovModel,
-    batch_starts,
     grid_steps,
     is_irreducible,
     region_mask,
@@ -108,22 +107,13 @@ def estimate_functional(
     """Sample the capped functional of the hitting rule of ``region``."""
     mask = region_mask(model, region)
     steps = _horizon_steps(model, horizons)
-    max_steps = int(steps[-1])
-    # paths freeze on entry: nothing at or after tau is read but paths[tau]
-    paths = simulate_block(
-        model, batch_starts(model, start, max_steps, n_paths), seed,
-        np.arange(n_paths), 0, max_steps, stop=mask,
+    snaps, _, _ = _sample_hitting_rule(
+        model, rewards, mask, start, n_paths, seed, [(0, int(steps[-1]))], steps.tolist()
     )
-    hit = mask[paths]
-    tau = np.where(hit.any(axis=1), hit.argmax(axis=1), max_steps + 1)
-    cum = np.zeros((n_paths, max_steps + 1))
-    np.cumsum(model.dt * rewards.f[paths[:, :-1]], axis=1, out=cum[:, 1:])
     estimates = np.empty(len(steps))
     ses = np.empty(len(steps))
-    rows = np.arange(n_paths)
-    for i, T in enumerate(steps):
-        m = np.minimum(tau, T)
-        estimates[i], ses[i] = _mean_se(cum[rows, m] + rewards.g[paths[rows, m]])
+    for i, (state_T, accrued_T) in enumerate(snaps):
+        estimates[i], ses[i] = _mean_se(accrued_T + rewards.g[state_T])
     window = max(1, int(np.ceil(len(steps) / 4)))
     verdict = _trend_verdict(estimates, ses)
     return FunctionalEstimate(
@@ -203,25 +193,31 @@ def terminal_truncation_gap(
             "region is missed with positive probability from start; "
             "the hitting time is not integrable"
         )
-    uncapped, snaps = _simulate_until_hit(
-        model, rewards, mask, start, n_paths, seed, checkpoints=steps.tolist()
+    blocks = ((b, _BLOCK_STEPS) for b in range(1, _MAX_BLOCKS + 1))
+    snaps, (state, accrued), live = _sample_hitting_rule(
+        model, rewards, mask, start, n_paths, seed, blocks, steps.tolist()
     )
+    if live:
+        raise NumericalFailure(
+            f"paths failed to hit the region within {_MAX_BLOCKS * _BLOCK_STEPS} steps"
+        )
+    uncapped = accrued + rewards.g[state]
     # paths stop in the region, so off it g- picks out exactly {tau > T}
     gminus_off = np.where(mask, 0.0, np.maximum(-rewards.g, 0.0))
     gm = np.empty(len(steps))
     gm_se = np.empty(len(steps))
     gaps = np.empty(len(steps))
     gap_se = np.empty(len(steps))
-    for i, (state_T, acc_T) in enumerate(snaps):
+    for i, (state_T, accrued_T) in enumerate(snaps):
         gm[i], gm_se[i] = _mean_se(gminus_off[state_T])
-        gap, gap_se[i] = _mean_se(acc_T + rewards.g[state_T] - uncapped)
+        gap, gap_se[i] = _mean_se(accrued_T + rewards.g[state_T] - uncapped)
         gaps[i] = abs(gap)
     # at zero spread the slack is the rounding of each mean's own terms, at
-    # the largest horizon (acc_T is the loop's last)
+    # the largest horizon
     ok = (
         gm[-1] <= Z_THRESHOLD * gm_se[-1] + residual_tol(gminus_off)
         and gaps[-1] <= Z_THRESHOLD * gap_se[-1]
-        + residual_tol(acc_T, rewards.g, uncapped)
+        + residual_tol(snaps[-1][1], rewards.g, uncapped)
     )
     return TailEstimate(
         horizons=np.asarray(horizons, dtype=float),
@@ -233,47 +229,47 @@ def terminal_truncation_gap(
     )
 
 
-def _simulate_until_hit(
+def _sample_hitting_rule(
     model: MarkovModel,
     rewards: RewardSpec,
     mask: np.ndarray,
     start: int,
     n_paths: int,
     seed: int,
+    blocks,
     checkpoints,
 ):
-    """Run every path to its hitting time, in blocks of ``_BLOCK_STEPS`` steps.
+    """Run paths from ``start`` until they enter ``mask``, accruing dt f.
 
-    Block b of path i draws from the stream (seed, i, b + 1), whichever paths
-    are still running. Returns the uncapped functional sum_{k < tau} dt f(X_k)
-    + g(X_tau) and, per checkpoint T, the states and accrued running rewards
-    after T steps; paths stay frozen once they hit.
+    ``blocks`` are (stream block, steps) pairs, walked in turn until no path
+    is live: in each, the live paths take the steps on their streams (seed,
+    path id, block). Every path adds dt f(X_k) for k < tau in order, then
+    exact zeros. Returns, per checkpoint T, the states and accrued rewards
+    after T steps (a checkpoint past the last step taken reads the end); the
+    same at the end; and the number of paths still live there.
     """
-    run = model.dt * rewards.f
+    start = state_index(model, start, "start")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    run = np.where(mask, 0.0, model.dt * rewards.f)
     state = np.full(n_paths, start, dtype=np.int64)
-    acc = np.zeros(n_paths)
+    accrued = np.zeros(n_paths)
+    ids = np.arange(0 if mask[start] else n_paths)
     snaps = {}
-    ids = np.arange(n_paths) if not mask[start] else np.arange(0)
-    block = 0
-    while len(ids):
-        if block >= _MAX_BLOCKS:
-            raise NumericalFailure(
-                f"paths failed to hit the region within {_MAX_BLOCKS * _BLOCK_STEPS} steps"
-            )
-        seg = simulate_block(
-            model, state[ids], seed, ids, block + 1, _BLOCK_STEPS, stop=mask
-        )
-        moved = (~mask[seg[:, :-1]]).sum(axis=1)
-        part = acc[ids]
-        # after the last entry every row is frozen: later checkpoints read the end
-        for k in range(moved.max()):
-            if block * _BLOCK_STEPS + k in checkpoints:
-                state[ids], acc[ids] = seg[:, k], part
-                snaps[block * _BLOCK_STEPS + k] = state.copy(), acc.copy()
-            live = moved > k
-            part[live] += run[seg[live, k]]
-        acc[ids] = part
-        state[ids] = seg[:, -1]
+    due = set(checkpoints)
+    taken = 0
+    for block, steps in blocks:
+        if not len(ids):
+            break
+        seg = simulate_block(model, state[ids], seed, ids, block, steps, stop=mask)
+        part = accrued[ids]
+        for k in range(steps):
+            if taken + k in due:
+                state[ids], accrued[ids] = seg[:, k], part
+                snaps[taken + k] = state.copy(), accrued.copy()
+            part += run[seg[:, k]]
+        state[ids], accrued[ids] = seg[:, -1], part
         ids = ids[~mask[seg[:, -1]]]
-        block += 1
-    return acc + rewards.g[state], [snaps.get(T, (state, acc)) for T in checkpoints]
+        taken += steps
+    end = state, accrued
+    return [snaps.get(T, end) for T in checkpoints], end, len(ids)

@@ -1,7 +1,10 @@
 """Independent oracles: brute force only, no shared code paths with the solvers.
 
 ``reference_policy_iteration`` is the exception: a kept reference for the
-solver's rounds, sharing its tolerance so that the two agree bit for bit.
+solver's rounds, sharing its tolerance so that the two agree bit for bit. So
+are ``argmax_functional`` and ``loop_truncation_gap``, the whole-path and
+per-step-loop readouts of the Monte Carlo samples, kept as references for
+``montecarlo._sample_hitting_rule``.
 """
 
 import math
@@ -275,3 +278,75 @@ def reference_policy_iteration(kernel, dt, run, term):
             return v, region, residual, tie, residual <= tie, rounds
         region = improved
     raise ArithmeticError(f"policy iteration did not settle within {n + 1} rounds")
+
+
+def mean_se(samples):
+    """Sample mean and its standard error (zero for a single sample)."""
+    n = len(samples)
+    return samples.mean(), samples.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+
+
+def argmax_functional(model, rewards, mask, start, steps, n_paths, seed):
+    """Capped-functional estimates and standard errors read from whole paths:
+    every path steps ``max(steps)`` times on its block-0 stream, tau is the
+    first column of the hit table (argmax), and a float table of running sums
+    dt f(X_0) + ... is read at min(tau, T) for each T in ``steps``."""
+    max_steps = int(steps[-1])
+    paths = loop_simulate_block(
+        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, max_steps, stop=mask
+    )
+    hit = mask[paths]
+    tau = np.where(hit.any(axis=1), hit.argmax(axis=1), max_steps + 1)
+    cum = np.zeros((n_paths, max_steps + 1))
+    np.cumsum(model.dt * rewards.f[paths[:, :-1]], axis=1, out=cum[:, 1:])
+    rows = np.arange(n_paths)
+    out = []
+    for T in steps:
+        m = np.minimum(tau, T)
+        out.append(mean_se(cum[rows, m] + rewards.g[paths[rows, m]]))
+    return np.array(out).T
+
+
+def loop_truncation_gap(model, rewards, mask, start, steps, n_paths, seed, block_steps=64):
+    """The terminal-truncation readout with every path run to its hitting
+    time: block b of path i draws the stream (seed, i, b + 1) while the path
+    is live, and a per-step loop over the live rows adds dt f and copies the
+    states and sums at each checkpoint. Returns (gminus_terms,
+    gminus_std_errors, gaps, gap_std_errors, passed)."""
+    steps = [int(T) for T in steps]
+    run = model.dt * rewards.f
+    state = np.full(n_paths, start, dtype=np.int64)
+    acc = np.zeros(n_paths)
+    snaps = {}
+    ids = np.arange(n_paths) if not mask[start] else np.arange(0)
+    block = 0
+    while len(ids):
+        seg = loop_simulate_block(model, state[ids], seed, ids, block + 1, block_steps, stop=mask)
+        moved = (~mask[seg[:, :-1]]).sum(axis=1)
+        part = acc[ids]
+        for k in range(moved.max()):
+            if block * block_steps + k in steps:
+                state[ids], acc[ids] = seg[:, k], part
+                snaps[block * block_steps + k] = state.copy(), acc.copy()
+            live = moved > k
+            part[live] += run[seg[live, k]]
+        acc[ids] = part
+        state[ids] = seg[:, -1]
+        ids = ids[~mask[seg[:, -1]]]
+        block += 1
+    uncapped = acc + rewards.g[state]
+    gminus_off = np.where(mask, 0.0, np.maximum(-rewards.g, 0.0))
+    read = [snaps.get(T, (state, acc)) for T in steps]
+    gm, gm_se, gaps, gap_se = [], [], [], []
+    for state_T, acc_T in read:
+        mean, se = mean_se(gminus_off[state_T])
+        gm.append(mean)
+        gm_se.append(se)
+        mean, se = mean_se(acc_T + rewards.g[state_T] - uncapped)
+        gaps.append(abs(mean))
+        gap_se.append(se)
+    passed = (
+        gm[-1] <= 3.0 * gm_se[-1] + residual_tol(gminus_off)
+        and gaps[-1] <= 3.0 * gap_se[-1] + residual_tol(read[-1][1], rewards.g, uncapped)
+    )
+    return np.array(gm), np.array(gm_se), np.array(gaps), np.array(gap_se), passed

@@ -356,6 +356,17 @@ def test_diagnose_tv(tmp_path):
     assert abs(fit["tail_ratio"] - 0.4) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--max-time", "0"), ("--probe", "")], ids=["max-time-0", "empty-probe"]
+)
+def test_diagnose_tv_refuses_an_empty_window_or_probe_list(tmp_path, capsys, flag, value):
+    # a given value is used even when it is falsy: no silent default
+    model = write_chain_a(tmp_path)
+    out = str(tmp_path / "out")
+    assert run(["diagnose", "--check", "tv", "--model", model, flag, value, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_diagnose_dynkin(tmp_path):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")

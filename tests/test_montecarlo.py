@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_B_F
 from ergostop import (
     Distribution,
+    RewardSpec,
     build_dtmc,
     estimate_functional,
     estimate_zeta_plus_tail,
@@ -15,6 +20,8 @@ from ergostop import (
     zero_potential,
 )
 from ergostop.errors import UnreachableRegion
+from ergostop.markov import surely_hits
+from oracles import argmax_functional, loop_truncation_gap
 
 
 def test_stop_everywhere_is_exact(chain_a, chain_a_rewards):
@@ -167,6 +174,61 @@ def test_liminf_limsup_windows_coincide_for_integrable_tau(chain_a, chain_a_rewa
 def test_negative_horizon_rejected(chain_a, chain_a_rewards, sampler):
     with pytest.raises(ValueError):
         sampler(chain_a, chain_a_rewards, [1], 0, [-2, 4], 10, 1)
+    for n_paths in (0, -3):
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            sampler(chain_a, chain_a_rewards, [1], 0, [2, 4], n_paths, 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans(), st.booleans(),
+       st.integers(1, 40))
+def test_hitting_rule_sampler_matches_the_readout_references(seed, n, cyclic, inside, n_paths):
+    rng = np.random.default_rng(seed)
+    # sparse rows, irreducible when cyclic, often with a heavy self-loop so
+    # that paths outlive the block edges 64 and 128
+    P = (0.2 + rng.random((n, n))) * (rng.random((n, n)) < 0.5)
+    succ = (np.arange(n) + 1) % n if cyclic else rng.integers(0, n, n)
+    P[np.arange(n), succ] += 0.2 + rng.random(n)
+    P[np.arange(n), np.arange(n)] += rng.choice([0.0, 10.0, 100.0])
+    P /= P.sum(axis=1, keepdims=True)
+    dt = float(rng.choice([0.5, 1.0, 2.0]))
+    m = build_dtmc(list(range(n)), P, dt=dt)
+    mask = rng.random(n) < 0.4
+    pool = np.flatnonzero(mask == inside)
+    start = int(rng.choice(pool)) if len(pool) else 0
+    steps = np.unique(np.r_[0, 64, 128, rng.integers(1, 200, 3)])
+    rewards = RewardSpec(f=rng.normal(0.0, 2.0, n), g=rng.normal(0.0, 3.0, n))
+    sample_seed = int(rng.integers(2**31))
+    args = (m, rewards, mask, start, steps * dt, n_paths, sample_seed)
+    refs = (m, rewards, mask, start, steps, n_paths, sample_seed)
+
+    est = estimate_functional(*args)
+    ref_est, ref_se = argmax_functional(*refs)
+    assert est.estimates.tolist() == ref_est.tolist()
+    assert est.std_errors.tolist() == ref_se.tolist()
+    if not surely_hits(m.kernel, mask)[start]:
+        with pytest.raises(UnreachableRegion):
+            terminal_truncation_gap(*args)
+        return
+    rep = terminal_truncation_gap(*args)
+    gm, gm_se, gaps, gap_se, passed = loop_truncation_gap(*refs)
+    assert rep.gminus_terms.tolist() == gm.tolist()
+    assert rep.gminus_std_errors.tolist() == gm_se.tolist()
+    assert rep.gaps.tolist() == gaps.tolist()
+    assert rep.gap_std_errors.tolist() == gap_se.tolist()
+    assert (rep.verdict == "PASS") == passed
+
+
+def test_functional_peak_memory_is_about_one_paths_array(chain_b, chain_b_rewards):
+    # the int64 states of every path at every step are the one table it keeps
+    n_paths, horizons = 5000, [32, 64, 128, 256]
+    tracemalloc.start()
+    try:
+        estimate_functional(chain_b, chain_b_rewards, [0], 4, horizons, n_paths, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n_paths * (horizons[-1] + 1) * 8
 
 
 # Pinned samples. They move only if the stream layout, the stepping or the

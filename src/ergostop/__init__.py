@@ -53,11 +53,9 @@ from .infinite_horizon import (
 from .markov import (
     Distribution,
     MarkovModel,
-    PathBatch,
     apply_transition,
     build_dtmc,
     build_from_generator,
-    simulate_paths,
     stationary_distribution,
 )
 from .modelio import ModelFile, load_model_file
@@ -65,7 +63,6 @@ from .montecarlo import (
     FunctionalEstimate,
     TailEstimate,
     estimate_functional,
-    estimate_zeta_plus_tail,
     terminal_truncation_gap,
 )
 from .rewards import RewardSpec, make_rewards
@@ -74,9 +71,9 @@ __all__ = [
     "__version__",
     "errors",
     # markov
-    "MarkovModel", "Distribution", "PathBatch",
+    "MarkovModel", "Distribution",
     "build_dtmc", "build_from_generator", "stationary_distribution",
-    "apply_transition", "simulate_paths",
+    "apply_transition",
     # ergodicity
     "ErgodicProfile", "ZeroPotential", "DynkinReport",
     "tv_distance_curve", "fit_ergodic_bound", "zero_potential",
@@ -96,7 +93,7 @@ __all__ = [
     "check_condition_S", "compactify_running_reward", "expected_hitting_time",
     # monte carlo
     "FunctionalEstimate", "TailEstimate",
-    "estimate_functional", "estimate_zeta_plus_tail", "terminal_truncation_gap",
+    "estimate_functional", "terminal_truncation_gap",
     # io
     "ModelFile", "load_model_file",
 ]

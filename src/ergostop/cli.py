@@ -1,6 +1,7 @@
 """Batch front door: model ingestion, solver dispatch, report emission.
 
-Exit codes: 0 success, 1 malformed input (or a run that ran out of memory),
+Exit codes: 0 success, 1 malformed input, a bad command line included (or a
+run that ran out of memory),
 2 mathematical verdict (the input parsed fine but a standing assumption
 fails, e.g. nonnegative mean drift), 3 numerical failure (a solve or
 simulation could not certify its result, e.g. a residual above tolerance).
@@ -107,6 +108,21 @@ def _parse_indices(text: str, model) -> list[int]:
     return out
 
 
+def _parse_state(text: str, model, flag: str) -> int:
+    """The one state index that ``flag`` names; a list of several is refused."""
+    idx = _parse_indices(text, model)
+    if len(idx) > 1:
+        raise ParseError(f"{flag} takes one state, got {text!r}")
+    return idx[0]
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _require_rewards(mf, need_f=True, need_g=True):
     if need_f and mf.f is None:
         raise ParseError("model file must carry a per-state 'f' for this command")
@@ -130,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
             p.add_argument("--paths", type=int, default=10000)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("solve", help="finite-horizon value surface")
     common(p)
@@ -173,8 +189,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # a usage error is malformed input; --help exits 0
+        return 1 if exc.code else 0
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:
@@ -307,7 +323,7 @@ def _dispatch(args):
         _require_rewards(mf)
         rewards = reward_vectors(model, mf.f, mf.g)
         region = _parse_indices(args.region, model)
-        start = _parse_indices(args.start, model)[0]
+        start = _parse_state(args.start, model, "--start")
         horizons = [float(h) for h in args.horizons.split(",")]
         est = estimate_functional(
             model, rewards, region, start, horizons, args.paths, args.seed
@@ -332,7 +348,7 @@ def _dispatch(args):
     if args.command == "compactify":
         _require_rewards(mf, need_g=False)
         mu = stationary_distribution(model)
-        center = _parse_indices(args.center, model)[0]
+        center = _parse_state(args.center, model, "--center")
         comp = compactify_running_reward(model, mf.f, mu, center=center)
         columns = (names, mf.f, comp.z, comp.f_hat, comp.f_bar)
         record = {
@@ -380,7 +396,7 @@ def _diagnose(args, mf, names):
         if args.region is None:
             raise ConflictingFlags("--check dynkin needs --region")
         region = _parse_indices(args.region, model)
-        start = _parse_indices(args.start, model)[0]
+        start = _parse_state(args.start, model, "--start")
         zp = zero_potential(model, mf.f, mu)
         rep = verify_dynkin_identity(
             model, zp, mf.f, mu, region, args.cap, start, args.paths, args.seed

@@ -79,27 +79,6 @@ class Distribution:
             raise NonStochasticRow(f"distribution sums to {w.sum()!r}, not 1")
 
 
-@dataclass(frozen=True)
-class PathBatch:
-    """Simulated state-index paths on the grid 0, dt, ..., horizon.
-
-    Regenerating with the same seed reproduces the batch bit-exactly,
-    independent of how simulation work is scheduled.
-    """
-
-    paths: np.ndarray   # (n_paths, horizon_steps + 1), int
-    seed: int
-    start: int
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def horizon_steps(self) -> int:
-        return self.paths.shape[1] - 1
-
-
 # -- construction ------------------------------------------------------------
 
 def _validate_square(states, rows, what: str) -> np.ndarray:
@@ -564,7 +543,7 @@ def support_step(cum: np.ndarray, succ: np.ndarray, states, u) -> np.ndarray:
 
 
 def simulate_block(
-    model: MarkovModel, states, seed: int, path_ids, block: int, steps: int, stop=None
+    model: MarkovModel, states, seed: int, path_ids, block: int, steps: int, stop
 ) -> np.ndarray:
     """Step paths from ``states`` for ``steps`` steps; the one simulation engine.
 
@@ -588,12 +567,11 @@ def simulate_block(
     last = -(-steps // 4)   # the counter that holds the last step's uniform
     drawn = 0               # steps covered by the counters drawn so far
     for k in range(steps):
-        if stop is not None:
-            keep = ~stop[state[live]]
-            live, row = live[keep], row[keep]
-            if not len(live):
-                paths[:, k + 1:] = state[:, None]
-                break
+        keep = ~stop[state[live]]
+        live, row = live[keep], row[keep]
+        if not len(live):
+            paths[:, k + 1:] = state[:, None]
+            break
         if k == drawn:
             c = k // 4 + 1
             u = stream_uniforms(keys[live], np.arange(c, min(2 * c, last + 1)))
@@ -602,17 +580,3 @@ def simulate_block(
         paths[:, k + 1] = state
     return paths
 
-
-def simulate_paths(
-    model: MarkovModel, start: int, horizon_steps: int, n_paths: int, seed: int
-) -> PathBatch:
-    """Sample n_paths kernel paths from ``start`` on the grid, reproducibly."""
-    start = state_index(model, start, "start")
-    if horizon_steps < 0:
-        raise ValueError("horizon_steps must be >= 0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    paths = simulate_block(
-        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, horizon_steps
-    )
-    return PathBatch(paths=paths, seed=seed, start=start)

@@ -5,9 +5,10 @@ defining capped functional itself,
 
     E^x[ sum_{k < tau ^ T} dt f(X_k) + g(X_{tau ^ T}) ]   as T grows,
 
-the integrability of the running supremum of g+, and the vanishing of the
-terminal term g-(X_T) on {tau > T}. These are sampled here with seeded,
-reproducible streams and fixed 3-standard-error verdicts.
+and the vanishing of the terminal term g-(X_T) on {tau > T}. These are
+sampled here with seeded, reproducible streams and fixed 3-standard-error
+verdicts. The running supremum of g+, whose integrability the unbounded
+rewards need, is computed exactly in ``finite_horizon`` and is not sampled.
 
 The lim-inf over horizons is an idealization a finite run cannot take; it is
 realized as the running minimum over the largest quartile of the horizon
@@ -24,11 +25,9 @@ from .errors import NumericalFailure, UnreachableRegion
 from .markov import (
     MarkovModel,
     grid_steps,
-    is_irreducible,
     region_mask,
     residual_tol,
     simulate_block,
-    simulate_paths,
     state_index,
     surely_hits,
 )
@@ -62,24 +61,15 @@ class FunctionalEstimate:
 
 @dataclass
 class TailEstimate:
-    """Tail diagnostics for the running supremum of g+ and the terminal term.
+    """The terminal term E[1{tau > T} g-(X_T)] and the full capped/uncapped
+    gap, per horizon T."""
 
-    The threshold-indexed section holds E[zeta+ 1{zeta+ > n}] estimates with
-    the exact recurrence value (max g+) when the chain is irreducible. The
-    horizon-indexed section holds the terminal-truncation quantities
-    E[1{tau > T} g-(X_T)] and the full capped/uncapped gap.
-    """
-
-    thresholds: np.ndarray | None = None
-    estimates: np.ndarray | None = None
-    std_errors: np.ndarray | None = None
-    exact_value: float | None = None
-    horizons: np.ndarray | None = None
-    gminus_terms: np.ndarray | None = None
-    gminus_std_errors: np.ndarray | None = None
-    gaps: np.ndarray | None = None
-    gap_std_errors: np.ndarray | None = None
-    verdict: str | None = None
+    horizons: np.ndarray
+    gminus_terms: np.ndarray
+    gminus_std_errors: np.ndarray
+    gaps: np.ndarray
+    gap_std_errors: np.ndarray
+    verdict: str
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -134,39 +124,6 @@ def _trend_verdict(estimates: np.ndarray, ses: np.ndarray) -> str:
     if drop > noise and drop > residual_tol(estimates[-2], estimates[-1]):
         return VERDICT_DIVERGING
     return VERDICT_PASS
-
-
-def estimate_zeta_plus_tail(
-    model: MarkovModel,
-    g,
-    start: int,
-    horizon: float,
-    n_paths: int,
-    seed: int,
-    thresholds,
-) -> TailEstimate:
-    """Sample tails of the running supremum of g+ up to the horizon.
-
-    On an irreducible chain the recurrence shortcut pins the infinite-horizon
-    value at max g+, which the estimates approach from below as the horizon
-    grows; that exact value is attached for cross-checking.
-    """
-    gv = np.asarray(g, dtype=float)
-    th = np.asarray(thresholds, dtype=float)
-    if np.any(th < 0) or np.any(np.diff(th) < 0):
-        raise ValueError("thresholds must be nonnegative ascending")
-    steps = int(grid_steps(horizon, model.dt))
-    batch = simulate_paths(model, start, steps, n_paths, seed)
-    gplus = np.maximum(gv, 0.0)
-    zeta = gplus[batch.paths].max(axis=1)
-    estimates = np.empty(len(th))
-    ses = np.empty(len(th))
-    for i, n in enumerate(th):
-        estimates[i], ses[i] = _mean_se(zeta * (zeta > n))
-    exact = float(gplus.max()) if is_irreducible(model.kernel) else None
-    return TailEstimate(
-        thresholds=th, estimates=estimates, std_errors=ses, exact_value=exact
-    )
 
 
 def terminal_truncation_gap(

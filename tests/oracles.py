@@ -227,7 +227,7 @@ def row_csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def loop_simulate_block(model, states, seed, path_ids, block, steps, stop=None):
+def loop_simulate_block(model, states, seed, path_ids, block, steps, stop):
     """Paths stepped on one generator built per row and a full-row inverse-CDF
     scan: row r draws ``path_stream(seed, path_ids[r], block).random(steps)``
     and moves to the number of kernel-row CDF entries at or below its uniform,
@@ -240,10 +240,9 @@ def loop_simulate_block(model, states, seed, path_ids, block, steps, stop=None):
     paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
     state = np.array(states, dtype=np.int64)
     paths[:, 0] = state
-    live = slice(None) if stop is None else np.arange(len(path_ids))
+    live = np.arange(len(path_ids))
     for k in range(steps):
-        if stop is not None:
-            live = live[~stop[state[live]]]
+        live = live[~stop[state[live]]]
         state[live] = np.minimum((cdf[state[live]] <= u[live, k, None]).sum(axis=1), n - 1)
         paths[:, k + 1] = state
     return paths

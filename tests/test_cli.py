@@ -405,6 +405,53 @@ def test_simulate_seed_domain(tmp_path, capsys, seed, code):
         assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--horizon", "2"], "required: --model"),
+        (["solve", "--model", "{model}", "--horizon", "abc"], "argument --horizon"),
+        (["frobnicate", "--model", "{model}"], "invalid choice: 'frobnicate'"),
+        ([], "required: command"),
+        *[(["simulate", "--model", "{model}", "--region", "1", "--start", start,
+            "--horizons", "4", "--seed", "-1"],
+           "argument --seed: expected a non-negative integer, got -1") for start in "10"],
+        *[(["diagnose", "--check", "dynkin", "--model", "{model}", "--region", "1",
+            "--start", start, "--seed", "-5"], "argument --seed") for start in "10"],
+        (["--help"], None),
+        (["--version"], None),
+    ],
+    ids=["no-model", "horizon-abc", "unknown-command", "no-command",
+         "simulate-seed-in-region", "simulate-seed", "dynkin-seed-in-region", "dynkin-seed",
+         "help", "version"],
+)
+def test_malformed_command_line_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    model = write_chain_a(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = run([arg.format(model=model) for arg in argv])
+    if message is None:
+        assert code == 0 and capsys.readouterr().out
+    else:
+        assert code == 1 and message in capsys.readouterr().err
+        assert not (tmp_path / "ergostop-out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--region", "1", "--horizons", "4", "--start", "0,1"],
+        ["diagnose", "--check", "dynkin", "--region", "1", "--start", "0,1"],
+        ["compactify", "--center", "0,1"],
+    ],
+    ids=["simulate-start", "dynkin-start", "compactify-center"],
+)
+def test_flag_naming_several_states_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--model", write_chain_a(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err and f"{argv[-2]} takes one state, got '0,1'" in err
+    assert not out.exists()
+
+
 def write_named_chain_a(tmp_path, states):
     path = tmp_path / "named.json"
     path.write_text(json.dumps({

@@ -54,3 +54,10 @@ def test_mean_drift_cached_against_invariant_law(chain_a):
     rw = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G, mu)
     assert rw.mu_f == pytest.approx(-2.0, abs=1e-12)
     assert rw.mu_f == pytest.approx(float(mu.weights @ rw.f), abs=1e-12)
+
+
+def test_every_public_name_resolves():
+    # a removed function must not leave its name behind in the exports
+    import ergostop
+
+    assert [name for name in ergostop.__all__ if not hasattr(ergostop, name)] == []

@@ -16,7 +16,6 @@ from ergostop import (
     make_rewards,
     markov,
     region_value,
-    simulate_paths,
     stationary_distribution,
     stopped_potential_exact,
     survival_probability,
@@ -280,31 +279,39 @@ def test_malformed_regions_raise_dimension_mismatch(request, chain, call):
         call(model, rewards)
 
 
+def block_zero(model, start, steps, n_paths, seed):
+    """Paths 0..n_paths - 1 from ``start`` on stream block 0, never stopped."""
+    never = np.zeros(model.n_states, dtype=bool)
+    return simulate_block(
+        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, steps, never
+    )
+
+
 def test_simulate_identity_kernel_constant_paths():
     m = build_dtmc([0, 1], np.eye(2))
-    batch = simulate_paths(m, start=1, horizon_steps=5, n_paths=10, seed=3)
-    assert (batch.paths == 1).all()
+    paths = block_zero(m, start=1, steps=5, n_paths=10, seed=3)
+    assert paths.shape == (10, 6) and (paths == 1).all()
 
 
 def test_simulate_one_step_frequency(chain_a):
     n_paths = 100_000
-    batch = simulate_paths(chain_a, start=0, horizon_steps=1, n_paths=n_paths, seed=42)
-    frac = batch.paths[:, 1].mean()
+    paths = block_zero(chain_a, start=0, steps=1, n_paths=n_paths, seed=42)
+    frac = paths[:, 1].mean()
     se = math.sqrt(0.4 * 0.6 / n_paths)
     assert abs(frac - 0.4) <= 3 * se
 
 
 def test_simulate_seed_reproducibility(chain_a):
-    a = simulate_paths(chain_a, 0, 20, 500, seed=9)
-    b = simulate_paths(chain_a, 0, 20, 500, seed=9)
-    c = simulate_paths(chain_a, 0, 20, 500, seed=10)
-    assert (a.paths == b.paths).all()
-    assert (a.paths != c.paths).any()
+    a = block_zero(chain_a, 0, 20, 500, seed=9)
+    b = block_zero(chain_a, 0, 20, 500, seed=9)
+    c = block_zero(chain_a, 0, 20, 500, seed=10)
+    assert (a == b).all()
+    assert (a != c).any()
 
 
 def test_simulate_transitions_have_positive_probability(chain_b):
-    batch = simulate_paths(chain_b, 2, 50, 200, seed=1)
-    probs = chain_b.kernel[batch.paths[:, :-1], batch.paths[:, 1:]]
+    paths = block_zero(chain_b, 2, 50, 200, seed=1)
+    probs = chain_b.kernel[paths[:, :-1], paths[:, 1:]]
     assert (probs > 0).all()
 
 
@@ -312,18 +319,19 @@ def test_simulate_block_is_splittable_by_path_id(chain_b):
     ids = np.arange(30)
     states = ids % 5
     part = ids[[2, 5, 17, 29]]
+    never = np.zeros(5, dtype=bool)
     stop = np.array([True, False, False, False, False])
-    for mask in (None, stop):
+    for mask in (never, stop):
         full = simulate_block(chain_b, states, 7, ids, 3, 70, stop=mask)
         alone = simulate_block(chain_b, states[part], 7, part, 3, 70, stop=mask)
         np.testing.assert_array_equal(alone, full[part])
     # the last pass used the stop mask: a row that enters it stays there
     entered = np.logical_or.accumulate(stop[full], axis=1)
     assert entered[:, -1].any() and (full[entered] == 0).all()
-    batch = simulate_paths(chain_b, 2, 40, 12, seed=9)
+    paths = block_zero(chain_b, 2, 40, 12, seed=9)
     for i in range(12):
-        drawn_alone = simulate_block(chain_b, [2], 9, [i], 0, 40)
-        np.testing.assert_array_equal(drawn_alone[0], batch.paths[i])
+        drawn_alone = simulate_block(chain_b, [2], 9, [i], 0, 40, never)
+        np.testing.assert_array_equal(drawn_alone[0], paths[i])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
@@ -432,7 +440,7 @@ def test_simulate_block_matches_loop_reference():
         rows = int(rng.integers(0, 25))
         states = rng.integers(0, n, rows)
         ids = rng.choice(2**32, size=rows, replace=False)
-        stop = rng.random(n) < rng.random() if rng.random() < 0.5 else None
+        stop = rng.random(n) < rng.random() if rng.random() < 0.5 else np.zeros(n, dtype=bool)
         seed = int(rng.integers(0, 2**62))
         block, steps = int(rng.integers(0, 4)), int(rng.integers(0, 140))
         got = simulate_block(model, states, seed, ids, block, steps, stop=stop)

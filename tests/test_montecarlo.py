@@ -11,7 +11,6 @@ from ergostop import (
     RewardSpec,
     build_dtmc,
     estimate_functional,
-    estimate_zeta_plus_tail,
     make_rewards,
     solve_infinite_horizon,
     stationary_distribution,
@@ -20,7 +19,8 @@ from ergostop import (
     zero_potential,
 )
 from ergostop.errors import UnreachableRegion
-from ergostop.markov import surely_hits
+from ergostop.finite_horizon import _running_max_tail
+from ergostop.markov import residual_tol, surely_hits
 from oracles import argmax_functional, loop_truncation_gap
 
 
@@ -58,43 +58,39 @@ def test_unreachable_region_diverges_linearly():
     assert est.verdict == "MinusInfinityTrend"
 
 
+def zeta_tail(model, g, steps, thresholds):
+    """Exact E^0[zeta_T 1{zeta_T > c}] per threshold c, zeta_T the running max of g+."""
+    return _running_max_tail(model, np.maximum(g, 0.0), steps, thresholds)[0]
+
+
+def chain_a_zeta_tail(steps):
+    # from state 0, zeta_T = max g+ = 5 once state 1 is visited, else 0
+    return 5.0 * (1.0 - 0.6**steps)
+
+
 def test_zeta_tail_trivial_cases(chain_a):
-    est = estimate_zeta_plus_tail(
-        chain_a, CHAIN_A_G, start=0, horizon=16, n_paths=400, seed=5,
-        thresholds=[6.0, 10.0],
-    )
-    np.testing.assert_allclose(est.estimates, 0.0)
-    est2 = estimate_zeta_plus_tail(
-        chain_a, [-1.0, -2.0], start=0, horizon=16, n_paths=400, seed=5,
-        thresholds=[0.0, 1.0],
-    )
-    np.testing.assert_allclose(est2.estimates, 0.0)
-    assert est2.exact_value == 0.0
+    np.testing.assert_array_equal(zeta_tail(chain_a, CHAIN_A_G, 16, [6.0, 10.0]), 0.0)
+    tail = zeta_tail(chain_a, [-1.0, -2.0], 16, [0.0, 1.0, 6.0, 10.0])
+    np.testing.assert_array_equal(tail, 0.0)
 
 
 def test_zeta_tail_chain_a(chain_a):
-    est = estimate_zeta_plus_tail(
-        chain_a, CHAIN_A_G, start=0, horizon=64, n_paths=20_000, seed=11,
-        thresholds=[0.0, 3.0],
-    )
-    assert est.exact_value == 5.0
-    # hitting probability by step 64 is 1 - 0.6^64: tail at 3 is essentially 5
-    assert est.estimates[1] <= est.exact_value + 1e-12
-    assert abs(est.estimates[1] - 5.0) <= 3 * est.std_errors[1] + 1e-6
-    # estimates nonincreasing in the threshold
-    assert est.estimates[0] >= est.estimates[1] - 1e-12
+    tail = zeta_tail(chain_a, CHAIN_A_G, 64, [0.0, 3.0, 6.0, 10.0])
+    exact = chain_a_zeta_tail(64)
+    tol = residual_tol(CHAIN_A_G, exact)
+    np.testing.assert_allclose(tail[:2], exact, rtol=0.0, atol=tol)
+    np.testing.assert_array_equal(tail[2:], 0.0)
+    assert (np.diff(tail) <= 0.0).all() and tail.max() <= CHAIN_A_G.max()
 
 
 def test_zeta_tail_approaches_exact_from_below(chain_a):
-    vals = []
-    for horizon in (2, 8, 32):
-        est = estimate_zeta_plus_tail(
-            chain_a, CHAIN_A_G, start=0, horizon=horizon, n_paths=30_000,
-            seed=13, thresholds=[0.0],
-        )
-        vals.append(est.estimates[0])
-        assert est.estimates[0] <= est.exact_value + 1e-12
-    assert vals[0] < vals[1] < vals[2]
+    tails = []
+    for steps in (2, 8, 32):
+        tail = zeta_tail(chain_a, CHAIN_A_G, steps, [0.0])[0]
+        exact = chain_a_zeta_tail(steps)
+        assert abs(tail - exact) <= residual_tol(CHAIN_A_G, exact)
+        tails.append(tail)
+    assert tails[0] < tails[1] < tails[2] < CHAIN_A_G.max()
 
 
 def test_terminal_gap_nonnegative_g(chain_a, chain_a_rewards):

@@ -201,6 +201,8 @@ def stopped_potential_exact(
     qv = per_state(model, q, "q")
     region = region_mask(model, stop_region)
     start = state_index(model, start, "start")
+    if cap_steps < 0:
+        raise ValueError("cap_steps must be >= 0")
     centred = model.dt * (fv - float(mu.weights @ fv))
     v = qv.copy()
     for _ in range(cap_steps):
@@ -230,6 +232,8 @@ def verify_dynkin_identity(
     start = state_index(model, start, "start")
     if cap_steps < 0:
         raise ValueError("cap_steps must be >= 0")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     reference = float(zp.q[start])
     # tau = 0 on every path: the stopped functional is q(start) exactly, and
     # a sample mean of identical values may sit an ulp away at zero spread

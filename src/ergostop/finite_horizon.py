@@ -158,6 +158,8 @@ def _taboo_sweep(
     exit probability P^x{sigma <= T}, each without cancellation. This is the
     only T-step taboo loop of the module.
     """
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
     value = value.astype(float)
     for _ in range(steps):
         value = np.where(keep, kernel @ value, value)

@@ -543,26 +543,24 @@ def support_step(cum: np.ndarray, succ: np.ndarray, states, u) -> np.ndarray:
 
 
 def simulate_block(
-    model: MarkovModel, states, seed: int, path_ids, block: int, steps: int, stop
-) -> np.ndarray:
-    """Step paths from ``states`` for ``steps`` steps; the one simulation engine.
+    model: MarkovModel, state: np.ndarray, seed: int, path_ids, block: int, steps: int, stop
+):
+    """Step the int64 array ``state`` in place; the one simulation engine.
 
     Row r steps by the inverse CDF of its kernel row, over the row's nonzero
     support, on the uniforms of the Philox stream keyed by
     ``SeedSequence(entropy=(seed, path_ids[r], block))``, so any subset of
     rows comes out the same drawn alone. Rows in the boolean state mask
-    ``stop`` stay put. Returns the (len(path_ids), steps + 1) state indices,
-    ``states`` first.
+    ``stop`` stay put. A generator: it yields each k < ``steps`` before step
+    k, while ``state`` holds the states after k steps and some row is live,
+    and returns once none is.
 
     Uniforms are drawn only for the rows still live, in chunks of Philox
     counters ``[c, 2c - 1]`` that double from c = 1: a row that stops within
     four steps costs one block, and no row costs twice the blocks it reads.
     """
-    paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
     keys = stream_keys(seed, path_ids, block)
     cum, succ = support_tables(model.kernel)
-    state = np.array(states, dtype=np.int64)
-    paths[:, 0] = state
     live = row = np.arange(len(keys))
     last = -(-steps // 4)   # the counter that holds the last step's uniform
     drawn = 0               # steps covered by the counters drawn so far
@@ -570,13 +568,10 @@ def simulate_block(
         keep = ~stop[state[live]]
         live, row = live[keep], row[keep]
         if not len(live):
-            paths[:, k + 1:] = state[:, None]
-            break
+            return
+        yield k
         if k == drawn:
             c = k // 4 + 1
             u = stream_uniforms(keys[live], np.arange(c, min(2 * c, last + 1)))
             row, first, drawn = np.arange(len(live)), k, 4 * min(2 * c - 1, last)
         state[live] = support_step(cum, succ, state[live], u[row, k - first])
-        paths[:, k + 1] = state
-    return paths
-

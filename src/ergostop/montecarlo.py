@@ -202,8 +202,8 @@ def _sample_hitting_rule(
     is live: in each, the live paths take the steps on their streams (seed,
     path id, block). Every path adds dt f(X_k) for k < tau in order, then
     exact zeros. Returns, per checkpoint T, the states and accrued rewards
-    after T steps (a checkpoint past the last step taken reads the end); the
-    same at the end; and the number of paths still live there.
+    after T steps (the end ones once T reaches the steps taken); the same at
+    the end; and the number of paths still live there.
     """
     start = state_index(model, start, "start")
     if n_paths < 1:
@@ -212,21 +212,19 @@ def _sample_hitting_rule(
     state = np.full(n_paths, start, dtype=np.int64)
     accrued = np.zeros(n_paths)
     ids = np.arange(0 if mask[start] else n_paths)
-    snaps = {}
-    due = set(checkpoints)
+    snaps = dict.fromkeys(checkpoints)
     taken = 0
     for block, steps in blocks:
         if not len(ids):
             break
-        seg = simulate_block(model, state[ids], seed, ids, block, steps, stop=mask)
-        part = accrued[ids]
-        for k in range(steps):
-            if taken + k in due:
-                state[ids], accrued[ids] = seg[:, k], part
+        now, part = state[ids], accrued[ids]
+        for k in simulate_block(model, now, seed, ids, block, steps, stop=mask):
+            if taken + k in snaps:
+                state[ids], accrued[ids] = now, part
                 snaps[taken + k] = state.copy(), accrued.copy()
-            part += run[seg[:, k]]
-        state[ids], accrued[ids] = seg[:, -1], part
-        ids = ids[~mask[seg[:, -1]]]
+            part += run[now]
+        state[ids], accrued[ids] = now, part
+        ids = ids[~mask[now]]
         taken += steps
     end = state, accrued
-    return [snaps.get(T, end) for T in checkpoints], end, len(ids)
+    return [snaps[T] or end for T in checkpoints], end, len(ids)

@@ -4,14 +4,15 @@
 solver's rounds, sharing its tolerance so that the two agree bit for bit. So
 are ``argmax_functional`` and ``loop_truncation_gap``, the whole-path and
 per-step-loop readouts of the Monte Carlo samples, kept as references for
-``montecarlo._sample_hitting_rule``.
+``montecarlo._sample_hitting_rule``. ``simulate_table`` is no oracle at all:
+it collects the state table of ``markov.simulate_block`` for the engine tests.
 """
 
 import math
 
 import numpy as np
 
-from ergostop.markov import residual_tol, surely_hits
+from ergostop.markov import residual_tol, simulate_block, surely_hits
 
 
 def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:
@@ -225,6 +226,21 @@ def row_csv_text(header, rows):
     lines = [",".join(header)]
     lines += [",".join(row_format_value(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def simulate_table(model, states, seed, path_ids, block, steps, stop):
+    """The (len(path_ids), steps + 1) state table of ``simulate_block``,
+    ``states`` first, collected from its in-place steps: column k is the
+    state array at the yield of k, and the columns after the engine returns
+    repeat the end state."""
+    state = np.array(states, dtype=np.int64)
+    paths = np.empty((len(state), steps + 1), dtype=np.int64)
+    filled = 0
+    for k in simulate_block(model, state, seed, path_ids, block, steps, stop):
+        paths[:, k] = state
+        filled = k + 1
+    paths[:, filled:] = state[:, None]
+    return paths
 
 
 def loop_simulate_block(model, states, seed, path_ids, block, steps, stop):

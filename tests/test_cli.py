@@ -436,6 +436,22 @@ def test_malformed_command_line_exit_1(tmp_path, monkeypatch, capsys, argv, mess
 
 
 @pytest.mark.parametrize(
+    "start, cap, paths",
+    [("1", "8", "0"), ("1", "8", "-3"), ("0", "0", "0"), ("0", "0", "-3"), ("0", "8", "0")],
+    ids=["in-region-0", "in-region-negative", "cap-0-0", "cap-0-negative", "sampled-0"],
+)
+def test_dynkin_refuses_a_path_count_below_one(tmp_path, capsys, start, cap, paths):
+    # the exact shortcut (start in the region, or cap 0) refuses it too
+    out = tmp_path / "out"
+    assert run([
+        "diagnose", "--check", "dynkin", "--model", write_chain_a(tmp_path), "--region", "1",
+        "--start", start, "--cap", cap, "--paths", paths, "--out", str(out),
+    ]) == 1
+    assert "n_paths must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--region", "1", "--horizons", "4", "--start", "0,1"],

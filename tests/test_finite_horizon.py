@@ -10,6 +10,8 @@ from ergostop import (
     make_rewards,
     solve_finite_horizon,
     solve_truncated,
+    stationary_distribution,
+    stopped_potential_exact,
     survival_probability,
     truncation_gap_bound,
 )
@@ -231,3 +233,21 @@ def test_b_family_with_coords(chain_b, chain_b_rewards):
     # b nonincreasing in R
     assert (np.diff(rep.b, axis=1) <= 1e-12).all()
     assert (np.diff(rep.b3_tail) <= 1e-12).all()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, r: survival_probability(m, [1, 2, 3], -2),
+        lambda m, r: expected_running_max(m, r.g, -5),
+        lambda m, r: truncation_gap_bound(m, r, -5, 1.0),
+        lambda m, r: b_family_diagnostics(m, r, -5, [[2], list(range(5))], [2]),
+        lambda m, r: stopped_potential_exact(
+            m, r.f, stationary_distribution(m), r.g, [0], -3, 4
+        ),
+    ],
+    ids=["survival", "running-max", "gap-bound", "b-family", "stopped-potential"],
+)
+def test_negative_step_count_is_refused(chain_b, chain_b_rewards, call):
+    with pytest.raises(ValueError, match=">= 0"):
+        call(chain_b, chain_b_rewards)

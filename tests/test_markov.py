@@ -51,6 +51,7 @@ from oracles import (
     hitting_probability,
     loop_simulate_block,
     path_stream,
+    simulate_table,
     transitive_closure,
 )
 
@@ -282,7 +283,7 @@ def test_malformed_regions_raise_dimension_mismatch(request, chain, call):
 def block_zero(model, start, steps, n_paths, seed):
     """Paths 0..n_paths - 1 from ``start`` on stream block 0, never stopped."""
     never = np.zeros(model.n_states, dtype=bool)
-    return simulate_block(
+    return simulate_table(
         model, np.full(n_paths, start), seed, np.arange(n_paths), 0, steps, never
     )
 
@@ -322,15 +323,15 @@ def test_simulate_block_is_splittable_by_path_id(chain_b):
     never = np.zeros(5, dtype=bool)
     stop = np.array([True, False, False, False, False])
     for mask in (never, stop):
-        full = simulate_block(chain_b, states, 7, ids, 3, 70, stop=mask)
-        alone = simulate_block(chain_b, states[part], 7, part, 3, 70, stop=mask)
+        full = simulate_table(chain_b, states, 7, ids, 3, 70, stop=mask)
+        alone = simulate_table(chain_b, states[part], 7, part, 3, 70, stop=mask)
         np.testing.assert_array_equal(alone, full[part])
     # the last pass used the stop mask: a row that enters it stays there
     entered = np.logical_or.accumulate(stop[full], axis=1)
     assert entered[:, -1].any() and (full[entered] == 0).all()
     paths = block_zero(chain_b, 2, 40, 12, seed=9)
     for i in range(12):
-        drawn_alone = simulate_block(chain_b, [2], 9, [i], 0, 40, never)
+        drawn_alone = simulate_table(chain_b, [2], 9, [i], 0, 40, never)
         np.testing.assert_array_equal(drawn_alone[0], paths[i])
 
 
@@ -381,7 +382,7 @@ def counted_blocks(monkeypatch):
 
 def test_rows_that_start_stopped_draw_nothing(chain_a, counted_blocks):
     stop = np.array([False, True])
-    paths = simulate_block(chain_a, np.ones(500, dtype=int), 4, np.arange(500), 0, 64, stop)
+    paths = simulate_table(chain_a, np.ones(500, dtype=int), 4, np.arange(500), 0, 64, stop)
     assert (paths == 1).all() and counted_blocks[0] == 0
     # the simulate command from a stop state: the functional and the gap
     rewards = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G)
@@ -393,12 +394,27 @@ def test_rows_that_start_stopped_draw_nothing(chain_a, counted_blocks):
 def test_rows_draw_blocks_only_while_live(chain_a, counted_blocks):
     rows, steps = 20000, 64
     stop = np.array([False, True])
-    paths = simulate_block(chain_a, np.zeros(rows, dtype=int), 3, np.arange(rows), 0, steps, stop)
+    paths = simulate_table(chain_a, np.zeros(rows, dtype=int), 3, np.arange(rows), 0, steps, stop)
     # a row reads the uniforms of the steps it takes before it stops
     taken = np.where(stop[paths].any(axis=1), stop[paths].argmax(axis=1), steps)
     read = int((-(-taken // 4)).sum())
     assert read <= counted_blocks[0] < 2 * read
     assert counted_blocks[0] < 0.2 * rows * (steps // 4)
+
+
+def test_engine_returns_once_no_row_is_live(chain_a):
+    stop = np.array([False, True])
+    state = np.ones(50, dtype=np.int64)
+    assert list(simulate_block(chain_a, state, 4, np.arange(50), 0, 64, stop)) == []
+    for steps, early in ((400, True), (5, False)):
+        ids = np.arange(300)
+        ref = loop_simulate_block(chain_a, np.zeros(300), 3, ids, 0, steps, stop)
+        # the step at which the last row enters stop, or all steps
+        t = int(stop[ref].argmax(axis=1).max()) if stop[ref[:, -1]].all() else steps
+        state = np.zeros(300, dtype=np.int64)
+        ks = list(simulate_block(chain_a, state, 3, ids, 0, steps, stop))
+        assert ks == list(range(t)) and (state == ref[:, -1]).all()
+        assert (t < steps) == early
 
 
 def test_support_step_never_lands_on_a_zero_probability_state():
@@ -443,7 +459,7 @@ def test_simulate_block_matches_loop_reference():
         stop = rng.random(n) < rng.random() if rng.random() < 0.5 else np.zeros(n, dtype=bool)
         seed = int(rng.integers(0, 2**62))
         block, steps = int(rng.integers(0, 4)), int(rng.integers(0, 140))
-        got = simulate_block(model, states, seed, ids, block, steps, stop=stop)
+        got = simulate_table(model, states, seed, ids, block, steps, stop=stop)
         ref = loop_simulate_block(model, states, seed, ids, block, steps, stop=stop)
         assert got.shape == ref.shape
         # rows may differ only from a step where the reference's n - 1 clamp

@@ -216,15 +216,22 @@ def test_hitting_rule_sampler_matches_the_readout_references(seed, n, cyclic, in
 
 
 def test_functional_peak_memory_is_about_one_paths_array(chain_b, chain_b_rewards):
-    # the int64 states of every path at every step are the one table it keeps
-    n_paths, horizons = 5000, [32, 64, 128, 256]
-    tracemalloc.start()
-    try:
-        estimate_functional(chain_b, chain_b_rewards, [0], 4, horizons, n_paths, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * n_paths * (horizons[-1] + 1) * 8
+    # paths step in place: the peak stays within the old bound of 1.5x one
+    # int64 state per path and step at horizon 256, and does not grow with it
+    n_paths = 5000
+
+    def peak(sample, top):
+        tracemalloc.start()
+        try:
+            horizons = [top // 8, top // 4, top // 2, top]
+            sample(chain_b, chain_b_rewards, [0], 4, horizons, n_paths, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(estimate_functional, 256) <= 1.5 * n_paths * (256 + 1) * 8
+    for sample in (estimate_functional, terminal_truncation_gap):
+        assert peak(sample, 4096) <= 1.25 * peak(sample, 256)
 
 
 # Pinned samples. They move only if the stream layout, the stepping or the

@@ -23,9 +23,7 @@ from .errors import NoMixingDetected, NumericalFailure, SingularSystem
 from .markov import (
     Distribution,
     MarkovModel,
-    chain_period,
     grid_steps,
-    is_irreducible,
     per_state,
     region_mask,
     residual_tol,
@@ -161,9 +159,9 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
     NumericalFailure.
     """
     fv = per_state(model, f, "f")
-    if not is_irreducible(model.kernel):
+    if not model.irreducible:
         raise SingularSystem("zero-potential requires an irreducible chain")
-    period = chain_period(model.kernel)
+    _, period = model.structure
     if period != 1:
         raise SingularSystem(f"chain has period {period}; defining series diverges")
     n = model.n_states

@@ -90,7 +90,7 @@ def solve_truncated(
     model: MarkovModel, rewards: RewardSpec, horizon_steps: int, n: float
 ) -> FiniteHorizonSolution:
     """Same recursion with the terminal reward clamped to [-n, n]."""
-    if n < 0:
+    if not n >= 0:  # NaN too
         raise ValueError("truncation level must be >= 0")
     g_clamped = np.clip(rewards.g, -n, n)
     return _solve(model, rewards.f, g_clamped, horizon_steps, float(n))
@@ -135,7 +135,8 @@ def check_supermartingale(
     max_cont = 0.0
     for k in range(solution.horizon_steps):
         resid = run + model.kernel @ solution.surface[k] - solution.surface[k + 1]
-        max_resid = max(max_resid, float(resid.max()))
+        # np.maximum keeps a NaN residual, which Python's max would drop
+        max_resid = float(np.maximum(max_resid, resid.max()))
         cont = g < solution.surface[k + 1] - solution.tie
         if cont.any():
             max_cont = max(max_cont, float(np.abs(resid[cont]).max()))

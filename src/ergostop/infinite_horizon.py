@@ -31,16 +31,14 @@ from .errors import (
 from .markov import (
     Distribution,
     MarkovModel,
-    is_irreducible,
     per_state,
-    recurrent_classes,
     region_mask,
     residual_tol,
     state_index,
     stationary_distribution,
     surely_hits,
 )
-from .rewards import RewardSpec
+from .rewards import RewardSpec, make_rewards
 
 DEFAULT_DELTA = 0.5
 # regions per batched solve of the oracle: the stack holds 256 * n^2 floats
@@ -212,10 +210,12 @@ def solve_infinite_horizon(
     otherwise the value may be infinite) and reducible chains. ``d`` may
     override the default constant delta * mu(f) used for the stopping-time
     bound; it must be negative per state. A certified solution whose
-    expected_tau exceeds Z raises ``BoundViolated``.
+    expected_tau exceeds Z raises ``BoundViolated``. A missing mu(f) is taken
+    from the invariant law.
     """
-    if not is_irreducible(model.kernel):
+    if not model.irreducible:
         raise NotIrreducible("infinite-horizon solver needs an irreducible chain")
+    rewards = _with_mu_f(model, rewards)
     if rewards.mu_f >= 0:
         raise DriftNotNegative(
             f"mu(f) = {rewards.mu_f} >= 0; undiscounted value may be infinite"
@@ -237,6 +237,13 @@ def solve_infinite_horizon(
         tie=tie, certified=certified, iterations=iterations, gamma=gamma, d=d_vec,
         Z=Z, expected_tau=expected_tau,
     )
+
+
+def _with_mu_f(model: MarkovModel, rewards: RewardSpec) -> RewardSpec:
+    """``rewards`` with mu(f) from the invariant law when it is missing."""
+    if rewards.mu_f is not None:
+        return rewards
+    return make_rewards(model, rewards.f, rewards.g)
 
 
 def _negative_d(model: MarkovModel, d) -> np.ndarray:
@@ -271,7 +278,7 @@ def stopping_rule_eps(solution: InfiniteHorizonSolution, eps: float) -> np.ndarr
     is what makes the family shrink to the optimal region as eps -> 0; the
     solver's own tie keeps eps = 0 equal to the reported stop set.
     """
-    if eps < 0:
+    if not eps >= 0:  # NaN too
         raise ValueError("eps must be >= 0")
     if not solution.certified:
         raise ValueError("eps-rule requires a certified solution")
@@ -321,10 +328,11 @@ def stopping_time_bound(
 
     E[max g+] reduces to max g+ by recurrence on an irreducible chain. The
     inequality expected_tau <= Z is checked as ``solve_infinite_horizon``
-    checks it for its own d.
+    checks it for its own d. A missing mu(f) is taken from the invariant law.
     """
-    if not is_irreducible(model.kernel):
+    if not model.irreducible:
         raise NotIrreducible("bound needs an irreducible chain")
+    rewards = _with_mu_f(model, rewards)
     if not solution.certified:
         raise ValueError("stopping-time bound requires a certified solution")
     d_vec = _negative_d(model, d)
@@ -351,7 +359,7 @@ def brute_force_region_oracle(model: MarkovModel, rewards: RewardSpec) -> Oracle
     n = model.n_states
     if n > 20:
         raise TooManyStates(f"{n} states: 2^n enumeration refused beyond 20")
-    if not is_irreducible(model.kernel):
+    if not model.irreducible:
         raise NotIrreducible("region oracle needs an irreducible chain")
     codes = np.arange(1, 1 << n)
     masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
@@ -381,15 +389,19 @@ def check_condition_S(
     (1 - delta) * mu(f) and terminal reward -q; gamma uses d = delta * mu(f).
     The identity is exact on the grid because the zero-potential shifts
     every hitting rule's value by -q. Refuses a chain with more than one
-    recurrent class, the precondition of its policy iterations.
+    recurrent class, the precondition of its policy iterations. A missing
+    mu(f) is taken from the invariant law.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if len(model.structure[0]) != 1:
+        raise NotIrreducible("condition S needs a chain with one recurrent class")
+    rewards = _with_mu_f(model, rewards)
     if rewards.mu_f >= 0:
         raise DriftNotNegative(f"mu(f) = {rewards.mu_f} >= 0")
-    if len(recurrent_classes(model.kernel)) != 1:
-        raise NotIrreducible("condition S needs a chain with one recurrent class")
-    q = np.asarray(zero_potential.q if hasattr(zero_potential, "q") else zero_potential)
+    q = per_state(
+        model, zero_potential.q if hasattr(zero_potential, "q") else zero_potential, "q"
+    )
     run = np.full(model.n_states, (1.0 - delta) * rewards.mu_f)
     bar, _, residual, _, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
     if not certified:
@@ -417,7 +429,7 @@ def compactify_running_reward(
     if model.coords is None:
         raise NoCoords("compactification needs per-state coordinates")
     center = state_index(model, center, "center")
-    fv = np.asarray(f, dtype=float)
+    fv = per_state(model, f, "f")
     mu_f = float(mu.weights @ fv)
     if mu_f >= 0:
         raise DriftNotNegative(f"mu(f) = {mu_f} >= 0")

@@ -8,6 +8,7 @@ are discretized by uniformization.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -64,6 +65,23 @@ class MarkovModel:
         """Index of a state identifier."""
         return self.states.index(state)
 
+    @functools.cached_property
+    def structure(self) -> tuple[list[np.ndarray], int]:
+        """``chain_structure`` of the kernel, computed once: the builders
+        make the kernel read-only, so it cannot go stale."""
+        return chain_structure(self.kernel)
+
+    @property
+    def irreducible(self) -> bool:
+        """All states mutually reachable: one recurrent class, of every state."""
+        classes, _ = self.structure
+        return len(classes) == 1 and bool(classes[0].all())
+
+    @functools.cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sampler's ``support_tables`` of the kernel, built once."""
+        return support_tables(self.kernel)
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -89,6 +107,8 @@ def _validate_square(states, rows, what: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{what} must be {len(states)}x{len(states)}, got {m.shape}"
         )
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has an entry that is not finite")
     return m
 
 
@@ -96,11 +116,11 @@ def build_dtmc(states, kernel_rows, dt: float = 1.0, coords=None) -> MarkovModel
     """Build a model from an explicit row-stochastic kernel.
 
     Rows may deviate from unit sum by at most 1e-9 and are renormalized
-    exactly; any negative entry is rejected.
+    exactly; any negative or non-finite entry is rejected.
     """
     kernel = _validate_square(states, kernel_rows, "kernel")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if np.any(kernel < 0):
         i, j = np.argwhere(kernel < 0)[0]
         raise NegativeEntry(f"kernel[{i},{j}] = {kernel[i, j]} < 0")
@@ -110,6 +130,7 @@ def build_dtmc(states, kernel_rows, dt: float = 1.0, coords=None) -> MarkovModel
         i = int(np.argmax(bad))
         raise NonStochasticRow(f"row {i} sums to {sums[i]!r}")
     kernel = kernel / sums[:, None]
+    kernel.setflags(write=False)
     return MarkovModel(
         states=tuple(states),
         kernel=kernel,
@@ -127,8 +148,8 @@ def build_from_generator(states, generator_rows, dt: float, coords=None) -> Mark
     falls below 1e-14.
     """
     gen = _validate_square(states, generator_rows, "generator")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     off = gen - np.diag(np.diag(gen))
     if np.any(off < 0):
         raise BadGenerator("generator has a negative off-diagonal entry")
@@ -162,6 +183,7 @@ def build_from_generator(states, generator_rows, dt: float, coords=None) -> Mark
             accum += weight
         kernel = np.maximum(kernel, 0.0)
         kernel /= kernel.sum(axis=1)[:, None]
+    kernel.setflags(write=False)
     return MarkovModel(
         states=tuple(states),
         kernel=kernel,
@@ -179,6 +201,8 @@ def _as_coords(coords, n: int) -> np.ndarray | None:
         c = c.T
     if c.shape[0] != n:
         raise DimensionMismatch(f"coords must have one row per state, got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("coords have an entry that is not finite")
     return c
 
 
@@ -190,51 +214,51 @@ def adjacency(kernel: np.ndarray) -> np.ndarray:
 
 
 def reaches(adj: np.ndarray, target) -> np.ndarray:
-    """States with a path of zero or more edges into the boolean mask ``target``.
+    """Breadth-first depth of each state's shortest path of edges into the
+    boolean mask ``target``, -1 where there is none.
 
-    A backward breadth-first search on the edge matrix ``adj`` (``adj[i, j]``
-    marks an edge i -> j); pass ``adj.T`` for the states reachable from
-    ``target``. Each step reads only the columns of the states reached in
-    the step before, so one search reads every column at most once.
+    A backward search on the edge matrix ``adj`` (``adj[i, j]`` marks an
+    edge i -> j); pass ``adj.T`` for the depths from ``target``. Each step
+    reads only the columns of the states reached in the step before, so one
+    search reads every column at most once.
     """
-    reach = np.array(target, dtype=bool)
-    (new,) = reach.nonzero()
+    depth = np.where(target, 0, -1)
+    unseen = depth < 0
+    (new,), d = np.nonzero(target), 0
     while len(new):
-        grown = np.logical_or.reduce(adj[:, new], axis=1) > reach
-        reach |= grown
-        (new,) = grown.nonzero()
-    return reach
+        d += 1
+        (new,) = (np.logical_or.reduce(adj[:, new], axis=1) & unseen).nonzero()
+        unseen[new] = False
+        depth[new] = d
+    return depth
 
 
-def recurrent_classes(kernel: np.ndarray) -> list[np.ndarray]:
-    """Recurrent communication classes as boolean masks, ordered by their
-    smallest state.
+def chain_structure(kernel: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Recurrent communication classes, as boolean masks ordered by their
+    smallest state, and the period, from one pass over the edge graph.
 
     The class of i is what i reaches and what reaches i; it is recurrent
-    when everything i reaches stays inside it.
+    when everything i reaches stays inside it. The forward search from
+    state 0 gives breadth-first levels, and for each edge u -> v out of a
+    reached state, level(u) + 1 - level(v) is a cycle-length residue: their
+    gcd is the period of an irreducible chain.
     """
     adj = adjacency(kernel)
     n = kernel.shape[0]
+    level = reaches(adj.T, np.arange(n) == 0)
     seen = np.zeros(n, dtype=bool)
     classes = []
     for i in range(n):
         if seen[i]:
             continue
         source = np.arange(n) == i
-        forward = reaches(adj.T, source)
-        cls = forward & reaches(adj, source)
+        forward = (level if i == 0 else reaches(adj.T, source)) >= 0
+        cls = forward & (reaches(adj, source) >= 0)
         seen |= cls
         if not np.any(forward > cls):
             classes.append(cls)
-    return classes
-
-
-def is_irreducible(kernel: np.ndarray) -> bool:
-    """All states mutually reachable: state 0 reaches every state and every
-    state reaches state 0."""
-    adj = adjacency(kernel)
-    zero = np.arange(kernel.shape[0]) == 0
-    return bool(reaches(adj, zero).all() and reaches(adj.T, zero).all())
+    u, v = np.nonzero(adj & (level >= 0)[:, None])
+    return classes, int(abs(np.gcd.reduce(level[u] + 1 - level[v])))
 
 
 def surely_hits(kernel: np.ndarray, region) -> np.ndarray:
@@ -247,29 +271,11 @@ def surely_hits(kernel: np.ndarray, region) -> np.ndarray:
     before that second search.
     """
     adj = adjacency(kernel)
-    stranded = ~reaches(adj, region)
+    stranded = reaches(adj, region) < 0
     if not stranded.any():
         return np.ones(kernel.shape[0], dtype=bool)
     adj[region] = False
-    return ~reaches(adj, stranded)
-
-
-def chain_period(kernel: np.ndarray) -> int:
-    """Period of an irreducible chain: gcd of cycle lengths on the edge graph.
-
-    Breadth-first levels from state 0, one boolean frontier per level as in
-    ``reaches``; for each edge u -> v out of a reached state the difference
-    level(u) + 1 - level(v) is a cycle-length residue.
-    """
-    adj = adjacency(kernel)
-    level = np.full(kernel.shape[0], -1)
-    new, depth = np.array([0]), 0
-    while len(new):
-        level[new] = depth
-        (new,) = (np.logical_or.reduce(adj[new], axis=0) & (level < 0)).nonzero()
-        depth += 1
-    u, v = np.nonzero(adj & (level >= 0)[:, None])
-    return int(abs(np.gcd.reduce(level[u] + 1 - level[v])))
+    return reaches(adj, stranded) < 0
 
 
 # -- operations ---------------------------------------------------------------
@@ -280,7 +286,7 @@ def stationary_distribution(model: MarkovModel) -> Distribution:
     Requires a single recurrent class (detected by reachability, not assumed).
     The returned weights satisfy mu P = mu within 1e-12.
     """
-    classes = recurrent_classes(model.kernel)
+    classes, _ = model.structure
     if len(classes) != 1:
         raise NotIrreducible(
             f"found {len(classes)} recurrent classes; invariant law not unique"
@@ -455,6 +461,7 @@ _PHILOX_MULT = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
 _PHILOX_BUMP = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 _PHILOX_TILE = 1 << 14    # row x counter blocks per pass: small temporaries run faster
+_DRAW_CAP = 16            # Philox counters (64 steps) per live row and draw
 
 
 def _mulhilo(a: np.ndarray, mult: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -556,11 +563,13 @@ def simulate_block(
     and returns once none is.
 
     Uniforms are drawn only for the rows still live, in chunks of Philox
-    counters ``[c, 2c - 1]`` that double from c = 1: a row that stops within
-    four steps costs one block, and no row costs twice the blocks it reads.
+    counters ``[c, 2c - 1]`` that double from c = 1 up to ``_DRAW_CAP``
+    counters: a row that stops within four steps costs one block, no row
+    costs twice the blocks it reads, and a draw holds at most 64 steps per
+    row, however long the horizon.
     """
     keys = stream_keys(seed, path_ids, block)
-    cum, succ = support_tables(model.kernel)
+    cum, succ = model.tables
     live = row = np.arange(len(keys))
     last = -(-steps // 4)   # the counter that holds the last step's uniform
     drawn = 0               # steps covered by the counters drawn so far
@@ -572,6 +581,7 @@ def simulate_block(
         yield k
         if k == drawn:
             c = k // 4 + 1
-            u = stream_uniforms(keys[live], np.arange(c, min(2 * c, last + 1)))
-            row, first, drawn = np.arange(len(live)), k, 4 * min(2 * c - 1, last)
+            end = min(2 * c - 1, c + _DRAW_CAP - 1, last)
+            u = stream_uniforms(keys[live], np.arange(c, end + 1))
+            row, first, drawn = np.arange(len(live)), k, 4 * end
         state[live] = support_step(cum, succ, state[live], u[row, k - first])

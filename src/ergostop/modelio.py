@@ -6,12 +6,15 @@ text, with no comma or line break), exactly one of ``kernel`` or
 ``dt`` (number), optional ``coords`` (array of number arrays), optional
 ``f`` and ``g`` (number arrays, consumed by the reward-bearing solvers).
 Numeric fields hold JSON numbers only: a boolean, string or null in any of
-them is refused, however deeply nested.
+them is refused, however deeply nested, and so are the ``NaN``,
+``Infinity`` and ``-Infinity`` tokens that Python's json module accepts and
+a literal too large for a float, such as ``1e999``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +45,13 @@ def _numeric(value) -> bool:
 def load_model_file(path, dt_override: float | None = None) -> ModelFile:
     """Parse and validate a model file; dt_override only applies to
     generator models, where the discretization step is a free choice."""
+
+    def refuse(token):
+        raise ParseError(f"{path}: {token} is not a JSON number")
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -71,8 +78,8 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
         if raw.get(name) is not None and not _numeric(raw[name]):
             raise ParseError(f"{path}: field '{name}' holds a value that is not a number")
     dt = raw.get("dt")
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        raise ParseError(f"{path}: field 'dt' must be a positive number")
+    if not isinstance(dt, (int, float)) or not 0 < dt < math.inf:
+        raise ParseError(f"{path}: field 'dt' must be a finite positive number")
     coords = raw.get("coords")
 
     def vector(name):
@@ -83,7 +90,10 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
             isinstance(x, list) for x in v
         ):
             raise ParseError(f"{path}: field '{name}' must have one number per state")
-        return np.asarray(v, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if not np.isfinite(v).all():  # a literal such as 1e999 reads as inf
+            raise ParseError(f"{path}: field '{name}' has a number that is not finite")
+        return v
 
     try:
         if has_kernel:

@@ -176,10 +176,9 @@ def submatrix_survival(kernel, mask, steps):
     return out
 
 
-def bfs_chain_period(adj):
-    """Period of the edge matrix ``adj`` from a per-state, per-edge
-    breadth-first leveling from state 0: gcd over the edges u -> v of
-    level(u) + 1 - level(v)."""
+def bfs_levels(adj):
+    """Per-state, per-edge breadth-first levels from state 0 of the edge
+    matrix ``adj`` (-1 where unreached), and the states in visiting order."""
     n = adj.shape[0]
     level = np.full(n, -1)
     level[0] = 0
@@ -194,6 +193,13 @@ def bfs_chain_period(adj):
                     nxt.append(v)
                     order.append(v)
         frontier = nxt
+    return level, order
+
+
+def bfs_chain_period(adj):
+    """Period of the edge matrix ``adj`` from ``bfs_levels``: gcd over the
+    edges u -> v out of reached states of level(u) + 1 - level(v)."""
+    level, order = bfs_levels(adj)
     g = 0
     for u in order:
         for v in np.flatnonzero(adj[u]):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,57 @@ def test_load_model_file_refuses_non_numbers_in_numeric_fields(tmp_path, capsys,
     out = str(tmp_path / "out")
     assert run(["solve-infinite", "--model", str(path), "--out", out]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("kernel", "[[NaN, 0.4], [0.2, 0.8]]"), ("dt", "Infinity"), ("dt", "NaN"),
+     ("generator", "[[-1.0, 1.0], [NaN, -1.0]]"), ("coords", "[[0.0], [NaN]]"),
+     ("f", "[-Infinity, -4.0]"), ("g", "[0.0, NaN]")],
+    ids=["kernel", "dt-inf", "dt-nan", "generator", "coords", "f", "g"],
+)
+def test_non_finite_json_tokens_are_refused(tmp_path, capsys, field, text):
+    # Python's json module reads NaN and Infinity as numbers unless told not to
+    payload = {"states": ["0", "1"], "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+               "f": list(CHAIN_A_F), "g": list(CHAIN_A_G), field: "TOKEN"}
+    if field == "generator":
+        del payload["kernel"]
+    path = tmp_path / "tokens.json"
+    path.write_text(json.dumps(payload).replace('"TOKEN"', text))
+    with pytest.raises(ParseError, match="is not a JSON number"):
+        load_model_file(str(path))
+    out = str(tmp_path / "out")
+    for command in (["solve", "--horizon", "2"], ["solve-infinite"]):
+        assert run([*command, "--model", str(path), "--out", out]) == 1
+        assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["dt", "kernel", "generator", "coords", "f", "g"])
+def test_overflowing_number_literals_are_refused(tmp_path, capsys, field):
+    # 1e999 is a valid JSON number that Python reads as inf
+    payload = {"states": ["0", "1"], "kernel": [[0.6, 0.4], [0.2, 0.8]], "dt": 1.0,
+               "coords": [[0.0], [1.0]], "f": list(CHAIN_A_F), "g": list(CHAIN_A_G)}
+    if field == "generator":
+        payload["generator"] = [[-1.0, 1.0], [1.0, -1.0]]
+        del payload["kernel"]
+    text = re.sub(r"-?\d+\.\d+", "1e999", json.dumps(payload[field]), count=1)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**payload, field: "TOKEN"}).replace('"TOKEN"', text))
+    with pytest.raises(ParseError, match="finite"):
+        load_model_file(str(path))
+    for command in ("solve-infinite", "compactify"):
+        assert run([command, "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--horizon", "4", "--truncate", "nan"], ["solve-infinite", "--eps", "nan"]],
+    ids=["truncate", "eps"],
+)
+def test_nan_levels_are_refused(tmp_path, capsys, argv):
+    out = str(tmp_path / "out")
+    assert run([*argv, "--model", write_chain_a(tmp_path), "--out", out]) == 1
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_ragged_reward_field_is_a_parse_error(tmp_path, capsys):
@@ -512,6 +564,35 @@ def test_compactify_command(tmp_path):
     assert run(["compactify", "--model", str(path), "--out", out]) == 0
     rec = read_json(os.path.join(out, "summary.json"))
     assert rec["mu_f_bar"] <= rec["mu_f"] / 2
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [(["solve-infinite"], 1), (["oracle-check"], 1), (["diagnose", "--check", "poisson"], 1),
+     (["diagnose", "--check", "tv"], 1),
+     (["diagnose", "--check", "dynkin", "--region", "1", "--paths", "50"], 1),
+     (["compactify"], 1), (["solve", "--horizon", "4"], 0),
+     (["simulate", "--region", "1", "--horizons", "4,8", "--paths", "50"], 0)],
+    ids=["solve-infinite", "oracle-check", "poisson", "tv", "dynkin", "compactify",
+         "solve", "simulate"],
+)
+def test_one_graph_pass_per_command(tmp_path, monkeypatch, argv, passes):
+    # the model caches its classes and period, so no command searches twice
+    calls = []
+    structure = markov.chain_structure
+
+    def counted(kernel):
+        calls.append(1)
+        return structure(kernel)
+
+    monkeypatch.setattr(markov, "chain_structure", counted)
+    path = tmp_path / "chain_a.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1"], "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+        "coords": [[0.0], [1.0]], "f": list(CHAIN_A_F), "g": list(CHAIN_A_G),
+    }))
+    assert run([*argv, "--model", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == passes
 
 
 def test_emit_report_empty_table(tmp_path):

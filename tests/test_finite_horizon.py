@@ -108,6 +108,11 @@ def test_truncation_level_zero(chain_a, chain_a_rewards):
     np.testing.assert_array_equal(zeroed.surface, ref.surface)
 
 
+def test_truncation_level_nan_is_refused(chain_a, chain_a_rewards):
+    with pytest.raises(ValueError, match="truncation level"):
+        solve_truncated(chain_a, chain_a_rewards, 4, n=float("nan"))
+
+
 def test_chain_a_truncation_sandwich(chain_a, chain_a_rewards):
     T = 6
     plain = solve_finite_horizon(chain_a, chain_a_rewards, T)
@@ -158,6 +163,14 @@ def test_supermartingale_chain_a(chain_a, chain_a_rewards):
     sol = solve_finite_horizon(chain_a, chain_a_rewards, 3)
     rep = check_supermartingale(chain_a, chain_a_rewards, sol)
     assert rep.ok and rep.max_continuation_gap <= 1e-10
+
+
+def test_supermartingale_fails_closed_on_a_nan_residual(chain_a, chain_a_rewards):
+    sol = solve_finite_horizon(chain_a, chain_a_rewards, 3)
+    sol.surface[2, 0] = np.nan
+    rep = check_supermartingale(chain_a, chain_a_rewards, sol)
+    assert not rep.ok
+    assert np.isnan(rep.max_residual)
 
 
 def test_supermartingale_on_corpus():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import CHAIN_A_F, CHAIN_A_G, random_chain, random_rewards
 from ergostop import (
+    RewardSpec,
     brute_force_region_oracle,
     build_dtmc,
     check_condition_S,
@@ -26,6 +27,7 @@ from ergostop import infinite_horizon
 from ergostop.markov import residual_tol, surely_hits
 from ergostop.rewards import reward_vectors
 from ergostop.errors import (
+    DimensionMismatch,
     DriftNotNegative,
     NoCoords,
     NotIrreducible,
@@ -364,6 +366,12 @@ def test_eps_rule_examples(chain_a, chain_a_rewards):
     np.testing.assert_array_equal(stopping_rule_eps(sol, 6.0), [False, True])
 
 
+def test_eps_rule_refuses_nan(chain_a, chain_a_rewards):
+    sol = solve_infinite_horizon(chain_a, chain_a_rewards)
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        stopping_rule_eps(sol, float("nan"))
+
+
 def test_eps_rule_monotone_and_eps_optimal():
     rng = np.random.default_rng(71)
     for _ in range(10):
@@ -486,6 +494,32 @@ def test_condition_s_identity_on_corpus():
         for delta in (0.25, 0.5, 1.0):
             rep = check_condition_S(m, rw, zp, delta)
             assert rep.identity_gap <= 1e-8
+
+
+def test_missing_mu_f_is_taken_from_the_invariant_law(chain_a, chain_a_rewards, chain_a_mu):
+    zp = zero_potential(chain_a, CHAIN_A_F, chain_a_mu)
+    ref = solve_infinite_horizon(chain_a, chain_a_rewards)
+    for bare in (reward_vectors(chain_a, CHAIN_A_F, CHAIN_A_G), RewardSpec(CHAIN_A_F, CHAIN_A_G)):
+        assert bare.mu_f is None
+        sol = solve_infinite_horizon(chain_a, bare)
+        np.testing.assert_array_equal(sol.w, ref.w)
+        np.testing.assert_array_equal(sol.Z, ref.Z)
+        np.testing.assert_array_equal(
+            stopping_time_bound(chain_a, bare, sol, -1.0).Z,
+            stopping_time_bound(chain_a, chain_a_rewards, ref, -1.0).Z,
+        )
+        np.testing.assert_array_equal(
+            check_condition_S(chain_a, bare, zp, 0.5).bar_gamma,
+            check_condition_S(chain_a, chain_a_rewards, zp, 0.5).bar_gamma,
+        )
+
+
+def test_condition_s_and_compactify_refuse_vectors_of_the_wrong_length(chain_b, chain_b_rewards):
+    mu = stationary_distribution(chain_b)
+    with pytest.raises(DimensionMismatch, match="q must have shape"):
+        check_condition_S(chain_b, chain_b_rewards, np.zeros(4), 0.5)
+    with pytest.raises(DimensionMismatch, match="f must have shape"):
+        compactify_running_reward(chain_b, [-1.0] * 4, mu)
 
 
 def test_compactify_needs_coords(chain_a, chain_a_mu):

@@ -34,10 +34,8 @@ from ergostop.errors import (
 )
 from ergostop.markov import (
     adjacency,
-    chain_period,
-    is_irreducible,
+    chain_structure,
     reaches,
-    recurrent_classes,
     simulate_block,
     stream_keys,
     stream_uniforms,
@@ -47,6 +45,7 @@ from ergostop.markov import (
 )
 from oracles import (
     bfs_chain_period,
+    bfs_levels,
     closure_recurrent_classes,
     hitting_probability,
     loop_simulate_block,
@@ -70,6 +69,40 @@ def test_build_dtmc_rejects_nonstochastic_row():
 def test_build_dtmc_rejects_negative_entry():
     with pytest.raises(NegativeEntry):
         build_dtmc([0, 1], [[1.1, -0.1], [0.2, 0.8]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: build_dtmc([0, 1], [[math.nan, 0.4], [0.2, 0.8]]), "kernel has an entry"),
+     (lambda: build_dtmc([0, 1], CHAIN_A_KERNEL, dt=math.inf), "dt must be finite"),
+     (lambda: build_dtmc([0, 1], CHAIN_A_KERNEL, dt=math.nan), "dt must be finite"),
+     (lambda: build_from_generator([0, 1], [[-1, 1], [math.nan, -1]], dt=1.0),
+      "generator has an entry"),
+     (lambda: build_from_generator([0, 1], [[-1, 1], [1, -1]], dt=math.inf),
+      "dt must be finite"),
+     (lambda: build_from_generator([0, 1], [[-1, 1], [1, -1]], dt=math.nan),
+      "dt must be finite"),
+     (lambda: build_dtmc([0, 1], CHAIN_A_KERNEL, coords=[[0.0], [math.inf]]),
+      "coords have an entry")],
+    ids=["kernel", "dt-inf", "dt-nan", "generator", "generator-dt-inf", "generator-dt-nan",
+         "coords"],
+)
+def test_builders_refuse_non_finite_entries_dt_and_coords(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_dtmc([0, 1], CHAIN_A_KERNEL),
+     lambda: build_from_generator([0, 1], [[-1, 1], [1, -1]], dt=0.5)],
+    ids=["dtmc", "generator"],
+)
+def test_built_kernel_is_read_only(build):
+    # the model caches its graph structure and sampler tables from the kernel
+    model = build()
+    with pytest.raises(ValueError, match="read-only"):
+        model.kernel[0, 0] = 0.5
 
 
 def test_build_dtmc_rejects_empty():
@@ -165,12 +198,13 @@ def test_chapman_kolmogorov(chain_a):
 
 
 def test_graph_analysis():
-    assert is_irreducible(np.array(CHAIN_A_KERNEL))
-    assert chain_period(np.array(CHAIN_A_KERNEL)) == 1
+    assert build_dtmc([0, 1], CHAIN_A_KERNEL).irreducible
+    assert chain_structure(np.array(CHAIN_A_KERNEL))[1] == 1
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert chain_period(flip) == 2
-    classes = recurrent_classes(np.eye(2))
+    assert chain_structure(flip)[1] == 2
+    classes, _ = chain_structure(np.eye(2))
     assert len(classes) == 2
+    assert not build_dtmc([0, 1], np.eye(2)).irreducible
 
 
 def _random_sparse_kernel(rng, n):
@@ -190,17 +224,18 @@ def test_graph_functions_match_closure_references():
         closure = transitive_closure(K)
         target = rng.random(n) < 0.2
         np.testing.assert_array_equal(
-            reaches(adjacency(K), target), closure[:, target].any(axis=1)
+            reaches(adjacency(K), target) >= 0, closure[:, target].any(axis=1)
         )
         np.testing.assert_array_equal(
-            reaches(adjacency(K).T, target), closure[target].any(axis=0)
+            reaches(adjacency(K).T, target) >= 0, closure[target].any(axis=0)
         )
-        classes = recurrent_classes(K)
+        model = build_dtmc(range(n), K)
+        classes, _ = model.structure
         expected = closure_recurrent_classes(K)
         assert len(classes) == len(expected)
         for got, ref in zip(classes, expected):
             np.testing.assert_array_equal(got, ref)
-        assert is_irreducible(K) == bool(closure.all())
+        assert model.irreducible == bool(closure.all())
         region = rng.random(n) < rng.random()
         np.testing.assert_array_equal(
             surely_hits(K, region), hitting_probability(K, region) > 1.0 - 1e-9
@@ -231,14 +266,18 @@ def test_chain_period_matches_bfs_reference():
     rng = np.random.default_rng(9)
     for _ in range(100):
         K = _random_sparse_kernel(rng, int(rng.integers(1, 31)))
-        assert chain_period(K) == bfs_chain_period(adjacency(K))
+        assert chain_structure(K)[1] == bfs_chain_period(adjacency(K))
+        np.testing.assert_array_equal(
+            reaches(adjacency(K).T, np.arange(len(K)) == 0), bfs_levels(adjacency(K))[0]
+        )
     for period in (1, 2, 3, 4, 6):
         for self_loop in (False, True):
             for _ in range(20):
                 K = _cyclic_kernel(rng, period, int(rng.integers(1, 8)), self_loop)
-                assert is_irreducible(K)
+                model = build_dtmc(range(len(K)), K)
+                assert model.irreducible
                 expected = 1 if self_loop else period
-                assert chain_period(K) == bfs_chain_period(adjacency(K)) == expected
+                assert model.structure[1] == bfs_chain_period(adjacency(K)) == expected
 
 
 # Entries that take one state index ``i``; -1 must not wrap to the last state.

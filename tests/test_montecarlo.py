@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -215,23 +216,40 @@ def test_hitting_rule_sampler_matches_the_readout_references(seed, n, cyclic, in
     assert (rep.verdict == "PASS") == passed
 
 
+def _peak(sample, model, rewards, region, start, top, n_paths):
+    """tracemalloc peak of one sampler run at horizons top/8, top/4, top/2, top."""
+    tracemalloc.start()
+    try:
+        horizons = [top // 8, top // 4, top // 2, top]
+        sample(model, rewards, region, start, horizons, n_paths, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_functional_peak_memory_is_about_one_paths_array(chain_b, chain_b_rewards):
     # paths step in place: the peak stays within the old bound of 1.5x one
     # int64 state per path and step at horizon 256, and does not grow with it
     n_paths = 5000
-
-    def peak(sample, top):
-        tracemalloc.start()
-        try:
-            horizons = [top // 8, top // 4, top // 2, top]
-            sample(chain_b, chain_b_rewards, [0], 4, horizons, n_paths, 3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(estimate_functional, 256) <= 1.5 * n_paths * (256 + 1) * 8
+    peak = partial(_peak, model=chain_b, rewards=chain_b_rewards, region=[0], start=4,
+                   n_paths=n_paths)
+    assert peak(estimate_functional, top=256) <= 1.5 * n_paths * (256 + 1) * 8
     for sample in (estimate_functional, terminal_truncation_gap):
-        assert peak(sample, 4096) <= 1.25 * peak(sample, 256)
+        assert peak(sample, top=4096) <= 1.25 * peak(sample, top=256)
+
+
+def test_functional_peak_memory_on_a_slow_walk_does_not_grow_with_the_horizon():
+    # from state 40 of a 200-state lazy walk many paths stay out of 0..39
+    # for thousands of steps; each draw holds at most 64 steps of uniforms
+    n = 200
+    x = np.arange(n)
+    P = 0.5 * np.eye(n)
+    P[x, np.maximum(x - 1, 0)] += 0.25
+    P[x, np.minimum(x + 1, n - 1)] += 0.25
+    model = build_dtmc(range(n), P)
+    rewards = make_rewards(model, np.where(x < n // 2, -1.2, 0.3), 5.0 * np.sin(x / 7.0))
+    peak = partial(_peak, estimate_functional, model, rewards, range(40), 40, n_paths=5000)
+    assert peak(top=2048) <= 1.25 * peak(top=128)
 
 
 # Pinned samples. They move only if the stream layout, the stepping or the

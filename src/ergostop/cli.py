@@ -378,6 +378,8 @@ def _diagnose(args, mf, names):
             if args.probe is not None
             else list(range(model.n_states))
         )
+        if len(set(probes)) < len(probes):
+            raise ParseError(f"--probe names a state more than once: {args.probe!r}")
         max_time = args.max_time if args.max_time is not None else 32 * model.dt
         profile = fit_ergodic_bound(
             tv_distance_curve(model, mu, probes, max_time)

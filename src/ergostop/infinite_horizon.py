@@ -434,9 +434,12 @@ def compactify_running_reward(
     if mu_f >= 0:
         raise DriftNotNegative(f"mu(f) = {mu_f} >= 0")
     dist_center = np.linalg.norm(model.coords - model.coords[center], axis=1)
-    max_radius = int(np.ceil(dist_center.max())) + 1
+    # the ball of integer radius r holds the states with ceil(dist) <= r, so
+    # the tail only changes at those ceilings: try 1 and each of them in turn
+    ceilings = np.ceil(dist_center)
+    radii = np.unique(np.append(ceilings[ceilings >= 1], 1.0)).tolist()
     N = None
-    for radius in range(1, max_radius + 1):
+    for radius in map(int, radii):
         ball = dist_center <= radius
         tail = float((np.abs(fv) * mu.weights)[~ball].sum())
         if tail < -mu_f / 4.0:

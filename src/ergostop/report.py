@@ -4,6 +4,11 @@ Floats are serialized with 17 significant digits so exact-solver outputs are
 byte-identical across runs, and bools as 0/1; non-finite values use the
 tokens ``-inf``, ``inf``, ``nan`` (as strings inside JSON, which has no
 literals for them).
+
+CSV tables are formatted in chunks of ``CHUNK_ROWS`` rows, each chunk one
+``%`` row template repeated and filled from slices of the columns, so no
+column is listed whole. The bytes are those of writing each value by
+``format_value``, row by row.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 
 from .errors import IoError
 
+CHUNK_ROWS = 4096  # CSV rows formatted per string
+
 
 def format_value(v) -> str:
     """Table text of one value, decided from its own type."""
@@ -29,29 +36,59 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _numbers(col):
+    """A float or int column as it is, a bool column viewed as 0/1 bytes."""
+    return col.view(np.uint8) if col.dtype.kind == "b" else col
+
+
 def _values(col):
     """One table column as plain values: float and int columns as Python
     numbers, bools as 0/1, any other column as it is."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
-        return (col.view(np.uint8) if col.dtype.kind == "b" else col).tolist()
+        return _numbers(col).tolist()
     return col
 
 
-def _texts(col):
-    """The text of every value of one table column, decided once for the
-    whole column: floats keep 17 significant digits, bools become 0/1, ints
-    are written by ``str``. Any other column, in practice state names
-    repeated over a grid, goes through ``format_value`` once per distinct
-    object, whose text is then repeated."""
+def _column(col):
+    """The ``%`` conversion of one CSV column, decided once for the whole
+    column, and a function that lists its rows ``s:e`` for that conversion.
+
+    Floats take ``%.17g``, ints and bools (as 0/1) ``%d``. Any other column
+    takes ``%s``: a slice whose values are all exactly ``str`` passes as it
+    is, else each distinct object of the slice (in practice a state name
+    repeated over a grid) is written by ``format_value`` once and its text
+    repeated. The slice holds its values alive, so equal ids mean the same
+    object."""
     kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-    if kind == "f":
-        return map("{:.17g}".format, _values(col))
-    if kind in "biu":
-        return map(str, _values(col))
-    values = list(col)  # holds every value alive, so equal ids mean the same object
-    distinct = {id(v): v for v in values}
-    text = {key: format_value(v) for key, v in distinct.items()}
-    return map(text.__getitem__, map(id, values))
+    if kind in "biuf":
+        num = _numbers(col)
+        return "%.17g" if kind == "f" else "%d", lambda s, e: num[s:e].tolist()
+
+    def rows(s, e):
+        values = list(col[s:e])
+        if set(map(type, values)) <= {str}:
+            return values
+        ids = list(map(id, values))
+        text = {key: format_value(v) for key, v in dict(zip(ids, values)).items()}
+        return list(map(text.__getitem__, ids))
+
+    return "%s", rows
+
+
+def _csv_chunks(header, columns):
+    """The header line, then ``CHUNK_ROWS`` rows per string: one ``%`` row
+    template repeated and filled from the columns' slices, interleaved."""
+    yield ",".join(header) + "\n"
+    formats = [_column(c) for c in columns]
+    template = ",".join(conversion for conversion, _ in formats) + "\n"
+    w = len(formats)
+    n = len(columns[0]) if w else 0
+    for s in range(0, n, CHUNK_ROWS):
+        e = min(s + CHUNK_ROWS, n)
+        flat = [None] * ((e - s) * w)
+        for j, (_, rows) in enumerate(formats):
+            flat[j::w] = rows(s, e)
+        yield (template * (e - s)) % tuple(flat)
 
 
 def _write(path, chunks) -> None:
@@ -63,10 +100,14 @@ def _write(path, chunks) -> None:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write a table with a fixed column order, one column per header name;
-    the rows are built as they are written."""
-    rows = itertools.chain([header], zip(*map(_texts, columns), strict=True))
-    _write(path, (",".join(row) + "\n" for row in rows))
+    """Write a table with a fixed column order, one column per header name.
+    Columns of unequal length raise ``ValueError`` before the file is
+    opened."""
+    columns = list(columns)
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    _write(path, _csv_chunks(header, columns))
 
 
 def _jsonable(obj):
@@ -95,7 +136,7 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
     ``results`` maps a base name to either (header, columns) for tables, one
     equal-length array or sequence per header name, or a dict for records.
     Tables become CSV or long-format JSON (one record per row), each column
-    written as ``_texts`` or ``_values`` decides; records become JSON.
+    written as ``_column`` or ``_values`` decides; records become JSON.
     Returns the paths.
     """
     if fmt not in ("csv", "json"):

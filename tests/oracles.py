@@ -207,6 +207,21 @@ def bfs_chain_period(adj):
     return abs(g) if g else 0
 
 
+def loop_ball_radius(coords, center, f, weights):
+    """The compactification radius by scanning every integer: the first
+    r = 1, 2, ... up to one past the largest distance from ``center`` whose
+    tail sum of |f| mu outside the ball of radius r is below -mu(f)/4, or
+    None if there is none."""
+    coords = np.asarray(coords, dtype=float)
+    dist = np.linalg.norm(coords - coords[center], axis=1)
+    mu_f = float(weights @ f)
+    for radius in range(1, int(np.ceil(dist.max())) + 2):
+        tail = float((np.abs(f) * weights)[~(dist <= radius)].sum())
+        if tail < -mu_f / 4.0:
+            return radius
+    return None
+
+
 def row_format_value(v):
     """CSV text of one table value, decided from its own type."""
     if isinstance(v, (bool, np.bool_)):

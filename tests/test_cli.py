@@ -419,6 +419,19 @@ def test_diagnose_tv_refuses_an_empty_window_or_probe_list(tmp_path, capsys, fla
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("probe", ["0,0", "b,1", "1,b,0"], ids=["index-twice", "name-and-index", "three"])
+def test_diagnose_tv_refuses_a_probe_named_twice(tmp_path, capsys, probe):
+    # one state probed twice would write its TV rows twice and fit two K
+    model = tmp_path / "chain_a.json"
+    model.write_text(json.dumps({"states": ["a", "b"], "kernel": CHAIN_A_KERNEL, "dt": 1.0}))
+    out = tmp_path / "out"
+    argv = ["diagnose", "--check", "tv", "--model", str(model), "--probe", probe,
+            "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+    assert not out.exists()
+
+
 def test_diagnose_dynkin(tmp_path):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")

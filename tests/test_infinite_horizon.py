@@ -1,11 +1,12 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_A_F, CHAIN_A_G, random_chain, random_rewards
+from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_A_KERNEL, random_chain, random_rewards
 from ergostop import (
     RewardSpec,
     brute_force_region_oracle,
@@ -33,7 +34,7 @@ from ergostop.errors import (
     NotIrreducible,
     TooManyStates,
 )
-from oracles import reference_policy_iteration
+from oracles import loop_ball_radius, reference_policy_iteration
 
 
 def walk(n, g=None):
@@ -545,6 +546,31 @@ def test_compactify_nonnegative_outside_keeps_f(chain_b):
     # flattening cannot lower f where it is already nonnegative
     np.testing.assert_allclose(comp.f_bar[outside], f[outside])
     assert (comp.f_bar >= f).all()
+
+
+def test_compactify_radius_matches_the_integer_scan():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        coords = rng.random((n, int(rng.integers(1, 4)))) * rng.uniform(0.5, 12.0)
+        if rng.random() < 0.5:  # distances that land on integers
+            coords = np.round(coords)
+        model = build_dtmc(range(n), random_chain(rng, n).kernel, coords=coords)
+        mu = stationary_distribution(model)
+        f = rng.normal(0.0, 2.0, n)
+        f = f - float(mu.weights @ f) - 0.3
+        center = int(rng.integers(n))
+        comp = compactify_running_reward(model, f, mu, center=center)
+        assert comp.N == loop_ball_radius(coords, center, f, mu.weights)
+
+
+def test_compactify_time_does_not_grow_with_the_coordinates_scale(chain_a_mu):
+    # an integer scan would try a billion radii here
+    model = build_dtmc([0, 1], CHAIN_A_KERNEL, coords=[[0.0], [1e9]])
+    t0 = time.perf_counter()
+    comp = compactify_running_reward(model, CHAIN_A_F, chain_a_mu)
+    assert time.perf_counter() - t0 < 1.0
+    assert comp.N == 1e9
 
 
 def test_compactify_fractional_cutoff():

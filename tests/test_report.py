@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_A_KERNEL
 from ergostop.cli import run
-from ergostop.report import emit_report, write_csv, write_json
+from ergostop import report
+from ergostop.report import CHUNK_ROWS, emit_report, write_csv, write_json
 from oracles import row_csv_text, table_rows
 
 SPECIAL_FLOATS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310,
@@ -54,6 +56,55 @@ def test_column_writer_matches_row_writer_json(tmp_path):
         write_json(str(reference), [dict(zip(HEADER, row)) for row in table_rows(columns)])
         (emitted,) = emit_report({"t": (HEADER, columns)}, str(tmp_path / f"e{n}"), "json")
         assert Path(emitted).read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5])
+def test_chunked_writer_matches_row_writer_at_chunk_boundaries(tmp_path, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    # state names repeated over a grid, as plain str (passed through as they
+    # are) and as numpy's str_ (written by format_value)
+    str_names = tuple(f"p{i % 7}" for i in range(n))
+    np_names = np.array([f"n{i}" for i in range(n)])
+    columns = _random_columns(rng, n) + (str_names, np_names)
+    header = (*HEADER, "plain", "np_str")
+    formatted = []
+    format_value = report.format_value
+    monkeypatch.setattr(report, "format_value",
+                        lambda v: formatted.append(v) or format_value(v))
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, columns)
+    assert path.read_text() == row_csv_text(header, table_rows(columns))
+    assert not set(str_names) & {v for v in formatted if type(v) is str}
+    assert set(np_names) <= {v for v in formatted if type(v) is np.str_}
+
+
+def test_ragged_table_is_rejected_before_any_file_is_written(tmp_path):
+    path = tmp_path / "t.csv"
+    columns = (np.arange(CHUNK_ROWS + 3), np.zeros(CHUNK_ROWS + 2), ("a",) * (CHUNK_ROWS + 3))
+    with pytest.raises(ValueError):
+        write_csv(str(path), ("k", "w", "state"), columns)
+    assert not path.exists()
+
+
+def _write_peak(path, n):
+    """tracemalloc peak of writing an n-row numeric table (int k, float w,
+    bool flag); the columns are built before tracing starts. k starts past
+    CPython's cached small ints, so every chunk lists new int objects at
+    either size."""
+    rng = np.random.default_rng(0)
+    columns = (1000 + np.arange(n) // 400, rng.normal(size=n), rng.random(n) < 0.5)
+    tracemalloc.start()
+    try:
+        write_csv(str(path), ("k", "w_k", "stop_flag"), columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_peak_memory_does_not_grow_with_the_row_count(tmp_path):
+    # rows are formatted a chunk at a time; no column is listed whole
+    assert _write_peak(tmp_path / "big.csv", 400_000) <= 1.25 * _write_peak(
+        tmp_path / "small.csv", 50_000)
 
 
 def test_float_column_roundtrips_every_bit(tmp_path):

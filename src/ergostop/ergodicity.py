@@ -24,6 +24,7 @@ from .markov import (
     Distribution,
     MarkovModel,
     grid_steps,
+    kernel_product,
     per_state,
     region_mask,
     residual_tol,
@@ -85,19 +86,25 @@ def tv_distance_curve(
 ) -> ErgodicProfile:
     """Exact TV distances ||P_t(x, .) - mu|| at grid times t = dt, ..., max_time.
 
-    Computed from matrix powers, no sampling. No monotonicity is asserted:
-    TV curves of periodic-ish chains can oscillate.
+    Computed by pushing each probe's law forward one ``kernel_product`` at a
+    time, no sampling. No monotonicity is asserted: TV curves of
+    periodic-ish chains can oscillate. An empty ``probe_states`` raises
+    ValueError.
     """
     steps = int(grid_steps(max_time, model.dt))
     if steps < 1:
         raise ValueError("max_time must cover at least one step")
     probes = np.array([state_index(model, p, "probe") for p in probe_states], dtype=int)
+    if not len(probes):
+        raise ValueError("probe_states must name at least one state")
     rows = np.zeros((len(probes), model.n_states))
     rows[np.arange(len(probes)), probes] = 1.0
     tv = np.empty((len(probes), steps))
     for k in range(steps):
-        rows = rows @ model.kernel
-        tv[:, k] = np.abs(rows - mu.weights[None, :]).sum(axis=1)
+        rows = kernel_product(model, rows, forward=True)
+        gap = rows - mu.weights[None, :]
+        tv[:, k] = np.abs(gap, out=gap).sum(axis=1)
+        del gap   # free before the next product
     times = model.dt * np.arange(1, steps + 1)
     return ErgodicProfile(probe_states=probes, times=times, tv=tv)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNesting
-from .markov import MarkovModel, region_mask, residual_tol
+from .markov import MarkovModel, kernel_product, region_mask, residual_tol
 from .rewards import RewardSpec
 
 
@@ -150,20 +150,21 @@ def check_supermartingale(
 # -- taboo sweeps: running maxima and the (B)-family -----------------------------
 
 def _taboo_sweep(
-    kernel: np.ndarray, keep: np.ndarray, value: np.ndarray, steps: int
+    model: MarkovModel, keep: np.ndarray, value: np.ndarray, steps: int
 ) -> np.ndarray:
     """E^x[ value(X_{T ^ sigma}) ], sigma the first exit from the mask, for
     every start x and every column of the (n, K) mask stack ``keep`` at once.
 
     ``value = keep`` gives the survival P^x{sigma > T}, ``value = ~keep`` the
     exit probability P^x{sigma <= T}, each without cancellation. This is the
-    only T-step taboo loop of the module.
+    only T-step taboo loop of the module; each step is one
+    ``kernel_product`` of the whole stack.
     """
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     value = value.astype(float)
     for _ in range(steps):
-        value = np.where(keep, kernel @ value, value)
+        value = np.where(keep, kernel_product(model, value, forward=False), value)
     return value
 
 
@@ -180,7 +181,7 @@ def _running_max_tail(model, m, steps, thresholds, weight=None) -> np.ndarray:
     levels = np.unique(m)
     below = m[:, None] <= levels[None, :-1]
     reach = np.ones((len(m), len(levels)))
-    reach[:, 1:] = _taboo_sweep(model.kernel, below, ~below, steps)
+    reach[:, 1:] = _taboo_sweep(model, below, ~below, steps)
     w = levels if weight is None else weight
     u = w[:, None] * (levels[:, None] > np.asarray(thresholds, dtype=float))
     return reach @ np.diff(u, axis=0, prepend=0.0)
@@ -212,7 +213,7 @@ def survival_probability(model: MarkovModel, inside, steps: int) -> np.ndarray:
     ``inside`` is U, as a boolean mask or as state indices.
     """
     keep = region_mask(model, inside)[:, None]
-    return _taboo_sweep(model.kernel, keep, keep, steps)[:, 0]
+    return _taboo_sweep(model, keep, keep, steps)[:, 0]
 
 
 def _snell_sup(model: MarkovModel, payoff: np.ndarray, steps: int) -> np.ndarray:
@@ -266,7 +267,7 @@ def b_family_diagnostics(
 
     # first sufficiency sum: shell increments of survival times max |g|
     nested = np.stack(masks, axis=1)
-    gam = _taboo_sweep(model.kernel, nested, nested, horizon_steps)
+    gam = _taboo_sweep(model, nested, nested, horizon_steps)
     inc = np.diff(gam[rows], axis=1, prepend=0.0).max(axis=0)
     b1_terms = np.maximum(inc, 0.0) * np.array([g_abs[m].max() for m in masks])
 
@@ -275,7 +276,7 @@ def b_family_diagnostics(
     b2_terms = np.array([])
     if shells:
         shell = np.stack(shells, axis=1)
-        hit = _taboo_sweep(model.kernel, ~shell, shell, horizon_steps)
+        hit = _taboo_sweep(model, ~shell, shell, horizon_steps)
         b2_terms = np.array([g_abs[s].max() for s in shells]) * hit[rows].max(axis=0)
 
     # sup over bounded stopping times of truncated-terminal expectations

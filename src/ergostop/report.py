@@ -5,10 +5,11 @@ byte-identical across runs, and bools as 0/1; non-finite values use the
 tokens ``-inf``, ``inf``, ``nan`` (as strings inside JSON, which has no
 literals for them).
 
-CSV tables are formatted in chunks of ``CHUNK_ROWS`` rows, each chunk one
-``%`` row template repeated and filled from slices of the columns, so no
-column is listed whole. The bytes are those of writing each value by
-``format_value``, row by row.
+Tables, CSV or long-format JSON, are formatted in chunks of ``CHUNK_ROWS``
+rows, each chunk one ``%`` row template repeated and filled from slices of
+the columns, so no column is listed whole. The bytes are those of writing
+each value by ``format_value`` row by row (CSV), or of encoding one record
+per row with ``write_json`` (JSON).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import IoError
 
-CHUNK_ROWS = 4096  # CSV rows formatted per string
+CHUNK_ROWS = 4096  # table rows formatted per string
 
 
 def format_value(v) -> str:
@@ -41,46 +42,53 @@ def _numbers(col):
     return col.view(np.uint8) if col.dtype.kind == "b" else col
 
 
-def _values(col):
-    """One table column as plain values: float and int columns as Python
-    numbers, bools as 0/1, any other column as it is."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
-        return _numbers(col).tolist()
-    return col
+def _json_text(v) -> str:
+    """JSON text of one table value, as ``write_json`` encodes it."""
+    return json.dumps(_jsonable(v))
 
 
-def _column(col):
-    """The ``%`` conversion of one CSV column, decided once for the whole
-    column, and a function that lists its rows ``s:e`` for that conversion.
+def _column(col, fmt):
+    """The ``%`` conversion of one table column in format ``fmt``, decided
+    once for the whole column, and a function that lists its rows ``s:e``
+    for that conversion.
 
-    Floats take ``%.17g``, ints and bools (as 0/1) ``%d``. Any other column
-    takes ``%s``: a slice whose values are all exactly ``str`` passes as it
-    is, else each distinct object of the slice (in practice a state name
-    repeated over a grid) is written by ``format_value`` once and its text
-    repeated. The slice holds its values alive, so equal ids mean the same
-    object."""
+    Ints and bools (as 0/1) take ``%d``. Floats take ``%.17g`` in CSV; in
+    JSON they take ``%s``, which is ``repr``, and a non-finite one is
+    listed as its JSON string. Any other column takes ``%s``: in CSV a
+    slice whose values are all exactly ``str`` passes as it is, else each
+    distinct object of the slice (in practice a state name repeated over a
+    grid) is written by ``format_value`` (CSV) or ``_json_text`` (JSON)
+    once and its text repeated. The slice holds its values alive, so equal
+    ids mean the same object."""
     kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-    if kind in "biuf":
+    if kind in "biu" or kind == "f" and fmt == "csv":
         num = _numbers(col)
         return "%.17g" if kind == "f" else "%d", lambda s, e: num[s:e].tolist()
+    if kind == "f":
+        def floats(s, e):
+            values = col[s:e].tolist()
+            for i in np.flatnonzero(~np.isfinite(col[s:e])):
+                values[i] = _json_text(values[i])
+            return values
+
+        return "%s", floats
+    text_of = format_value if fmt == "csv" else _json_text
 
     def rows(s, e):
         values = list(col[s:e])
-        if set(map(type, values)) <= {str}:
+        if fmt == "csv" and set(map(type, values)) <= {str}:
             return values
         ids = list(map(id, values))
-        text = {key: format_value(v) for key, v in dict(zip(ids, values)).items()}
+        text = {key: text_of(v) for key, v in dict(zip(ids, values)).items()}
         return list(map(text.__getitem__, ids))
 
     return "%s", rows
 
 
-def _csv_chunks(header, columns):
-    """The header line, then ``CHUNK_ROWS`` rows per string: one ``%`` row
-    template repeated and filled from the columns' slices, interleaved."""
-    yield ",".join(header) + "\n"
-    formats = [_column(c) for c in columns]
-    template = ",".join(conversion for conversion, _ in formats) + "\n"
+def _rows(columns, formats, template, sep):
+    """The table's rows, ``CHUNK_ROWS`` per string: the ``%`` row
+    ``template`` repeated with ``sep`` between rows, filled from the
+    columns' slices, interleaved."""
     w = len(formats)
     n = len(columns[0]) if w else 0
     for s in range(0, n, CHUNK_ROWS):
@@ -88,7 +96,30 @@ def _csv_chunks(header, columns):
         flat = [None] * ((e - s) * w)
         for j, (_, rows) in enumerate(formats):
             flat[j::w] = rows(s, e)
-        yield (template * (e - s)) % tuple(flat)
+        text = (template + sep) * (e - s) % tuple(flat)
+        yield text if e < n else text[:len(text) - len(sep)]
+
+
+def _csv_chunks(header, columns):
+    """The header line, then the rows, one line each."""
+    yield ",".join(header) + "\n"
+    formats = [_column(c, "csv") for c in columns]
+    yield from _rows(columns, formats, ",".join(f for f, _ in formats) + "\n", "")
+
+
+def _json_chunks(header, columns):
+    """The long-format JSON list of one record per row, as ``write_json``
+    indents it, from one record template."""
+    if not (columns and len(columns[0])):
+        yield "[]\n"
+        return
+    formats = [_column(c, "json") for c in columns]
+    fields = ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: {f}" for name, (f, _) in zip(header, formats)
+    )
+    yield "[\n"
+    yield from _rows(columns, formats, "  {\n" + fields + "\n  }", ",\n")
+    yield "\n]\n"
 
 
 def _write(path, chunks) -> None:
@@ -99,15 +130,15 @@ def _write(path, chunks) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path, header, columns) -> None:
-    """Write a table with a fixed column order, one column per header name.
-    Columns of unequal length raise ``ValueError`` before the file is
-    opened."""
+def write_table(path, header, columns, fmt: str = "csv") -> None:
+    """Write a table with a fixed column order, one column per header name,
+    as CSV or as long-format JSON (``fmt``). Columns of unequal length raise
+    ``ValueError`` before the file is opened."""
     columns = list(columns)
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
-    _write(path, _csv_chunks(header, columns))
+    _write(path, (_csv_chunks if fmt == "csv" else _json_chunks)(header, columns))
 
 
 def _jsonable(obj):
@@ -136,8 +167,7 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
     ``results`` maps a base name to either (header, columns) for tables, one
     equal-length array or sequence per header name, or a dict for records.
     Tables become CSV or long-format JSON (one record per row), each column
-    written as ``_column`` or ``_values`` decides; records become JSON.
-    Returns the paths.
+    written as ``_column`` decides; records become JSON. Returns the paths.
     """
     if fmt not in ("csv", "json"):
         raise IoError(f"unknown report format {fmt!r}")
@@ -149,12 +179,8 @@ def emit_report(results: dict, out_dir, fmt: str) -> list[str]:
     for name, payload in results.items():
         table = isinstance(payload, tuple)
         path = os.path.join(out_dir, f"{name}.{fmt if table else 'json'}")
-        if table and fmt == "csv":
-            write_csv(path, *payload)
-        elif table:
-            header, columns = payload
-            rows = zip(*map(_values, columns), strict=True)
-            write_json(path, [dict(zip(header, row)) for row in rows])
+        if table:
+            write_table(path, *payload, fmt)
         else:
             write_json(path, payload)
         written.append(path)

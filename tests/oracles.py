@@ -4,8 +4,11 @@
 solver's rounds, sharing its tolerance so that the two agree bit for bit. So
 are ``argmax_functional`` and ``loop_truncation_gap``, the whole-path and
 per-step-loop readouts of the Monte Carlo samples, kept as references for
-``montecarlo._sample_hitting_rule``. ``simulate_table`` is no oracle at all:
-it collects the state table of ``markov.simulate_block`` for the engine tests.
+``montecarlo._sample_hitting_rule``. So are ``dense_tv_curve`` and
+``dense_taboo_sweep``, the dense ``@`` loops that ``markov.kernel_product``
+replaced in the TV curve and the taboo sweep. ``simulate_table`` is no oracle
+at all: it collects the state table of ``markov.simulate_block`` for the
+engine tests.
 """
 
 import math
@@ -56,6 +59,28 @@ def series_zero_potential(model, f, mu, k_max=200):
         q += model.dt * (v - mu_f)
         v = model.kernel @ v
     return q
+
+
+def dense_tv_curve(kernel, mu_weights, probes, steps):
+    """TV distances sum_y |P^k(x, y) - mu(y)| for k = 1..steps, one row per
+    probe x, by a loop of dense ``rows @ kernel`` products: the reference
+    for ``ergodicity.tv_distance_curve``."""
+    rows = np.eye(kernel.shape[0])[probes]
+    tv = np.empty((len(probes), steps))
+    for k in range(steps):
+        rows = rows @ kernel
+        tv[:, k] = np.abs(rows - mu_weights[None, :]).sum(axis=1)
+    return tv
+
+
+def dense_taboo_sweep(kernel, keep, value, steps):
+    """E^x[ value(X_{T ^ sigma}) ] for each column of the mask stack
+    ``keep`` by a loop of dense ``kernel @ value`` products: the reference
+    for ``finite_horizon._taboo_sweep``."""
+    value = value.astype(float)
+    for _ in range(steps):
+        value = np.where(keep, kernel @ value, value)
+    return value
 
 
 def rule_forward_reach(model, stop_bits, start, horizon_steps):

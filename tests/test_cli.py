@@ -18,7 +18,7 @@ from ergostop import build_dtmc, cli, ergodicity, infinite_horizon, markov, mont
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
-from ergostop.report import emit_report, write_csv
+from ergostop.report import emit_report, write_table
 from oracles import exhaustive_finite_horizon
 
 
@@ -616,7 +616,7 @@ def test_emit_report_empty_table(tmp_path):
 
 def test_report_minus_infinity_token(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(str(path), ("v",), [(-np.inf,)])
+    write_table(str(path), ("v",), [(-np.inf,)])
     assert Path(path).read_text().splitlines()[1] == "-inf"
     paths = emit_report({"rec": {"v": -np.inf}}, str(tmp_path), "json")
     assert read_json(paths[0])["v"] == "-inf"
@@ -625,7 +625,7 @@ def test_report_minus_infinity_token(tmp_path):
 def test_report_seventeen_digit_roundtrip(tmp_path):
     value = 1 / 3 + 1e-16
     path = tmp_path / "r.csv"
-    write_csv(str(path), ("v",), [(value,)])
+    write_table(str(path), ("v",), [(value,)])
     back = float(Path(path).read_text().splitlines()[1])
     assert back == value
 

@@ -177,3 +177,9 @@ def test_dynkin_chain_a_monte_carlo(chain_a, chain_a_mu):
     )
     assert rep.verdict == "PASS"
     assert abs(rep.estimate - 20 / 3) <= 3 * rep.std_error
+
+
+def test_tv_refuses_an_empty_probe_list(chain_a, chain_a_mu):
+    # an empty profile would reach fit_ergodic_bound as a raw numpy error
+    with pytest.raises(ValueError, match="probe_states"):
+        tv_distance_curve(chain_a, chain_a_mu, [], max_time=4.0)

@@ -40,7 +40,6 @@ from ergostop.markov import (
     stream_keys,
     stream_uniforms,
     support_step,
-    support_tables,
     surely_hits,
 )
 from oracles import (
@@ -466,7 +465,7 @@ def test_support_step_never_lands_on_a_zero_probability_state():
             break
     u = np.nextafter(1.0, 0.0)
     assert np.cumsum(model.kernel[0])[-1] <= u
-    cum, succ = support_tables(model.kernel)
+    cum, succ = model.tables
     assert support_step(cum, succ, np.array([0]), np.array([u])).tolist() == [2]
     # the full-row scan clamps at n - 1, a state row 0 cannot reach
     assert model.kernel[0, 3] == 0.0

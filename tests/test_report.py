@@ -9,7 +9,7 @@ import pytest
 from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_A_KERNEL
 from ergostop.cli import run
 from ergostop import report
-from ergostop.report import CHUNK_ROWS, emit_report, write_csv, write_json
+from ergostop.report import CHUNK_ROWS, emit_report, write_table, write_json
 from oracles import row_csv_text, table_rows
 
 SPECIAL_FLOATS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310,
@@ -42,7 +42,7 @@ def test_column_writer_matches_row_writer_csv(tmp_path):
     for n in (0, 1, 2, 17, 300):
         columns = _random_columns(rng, n)
         path = tmp_path / f"t{n}.csv"
-        write_csv(str(path), HEADER, columns)
+        write_table(str(path), HEADER, columns)
         assert path.read_text() == row_csv_text(HEADER, table_rows(columns))
         (emitted,) = emit_report({"t": (HEADER, columns)}, str(tmp_path / "e"), "csv")
         assert Path(emitted).read_text() == path.read_text()
@@ -72,18 +72,32 @@ def test_chunked_writer_matches_row_writer_at_chunk_boundaries(tmp_path, monkeyp
     monkeypatch.setattr(report, "format_value",
                         lambda v: formatted.append(v) or format_value(v))
     path = tmp_path / "t.csv"
-    write_csv(str(path), header, columns)
+    write_table(str(path), header, columns)
     assert path.read_text() == row_csv_text(header, table_rows(columns))
     assert not set(str_names) & {v for v in formatted if type(v) is str}
     assert set(np_names) <= {v for v in formatted if type(v) is np.str_}
 
 
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5])
+def test_json_table_matches_record_encoder_at_chunk_boundaries(tmp_path, n):
+    # a key with quotes and % signs must pass through the record template
+    rng = np.random.default_rng(n)
+    columns = _random_columns(rng, n) + (np.array([f"n{i}" for i in range(n)]),)
+    header = (*HEADER, 'a "%d" 100%')
+    reference = tmp_path / "ref.json"
+    write_json(str(reference), [dict(zip(header, row)) for row in table_rows(columns)])
+    path = tmp_path / "t.json"
+    write_table(str(path), header, columns, "json")
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_ragged_table_is_rejected_before_any_file_is_written(tmp_path):
-    path = tmp_path / "t.csv"
     columns = (np.arange(CHUNK_ROWS + 3), np.zeros(CHUNK_ROWS + 2), ("a",) * (CHUNK_ROWS + 3))
-    with pytest.raises(ValueError):
-        write_csv(str(path), ("k", "w", "state"), columns)
-    assert not path.exists()
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError):
+            write_table(str(path), ("k", "w", "state"), columns, fmt)
+        assert not path.exists()
 
 
 def _write_peak(path, n):
@@ -95,7 +109,7 @@ def _write_peak(path, n):
     columns = (1000 + np.arange(n) // 400, rng.normal(size=n), rng.random(n) < 0.5)
     tracemalloc.start()
     try:
-        write_csv(str(path), ("k", "w_k", "stop_flag"), columns)
+        write_table(str(path), ("k", "w_k", "stop_flag"), columns)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -110,14 +124,14 @@ def test_csv_writer_peak_memory_does_not_grow_with_the_row_count(tmp_path):
 def test_float_column_roundtrips_every_bit(tmp_path):
     values = np.array([1 / 3 + 1e-16, -0.0, 5e-324, np.nextafter(1.0, 2.0)])
     path = tmp_path / "f.csv"
-    write_csv(str(path), ("v",), (values,))
+    write_table(str(path), ("v",), (values,))
     back = np.array([float(v) for v in path.read_text().splitlines()[1:]])
     assert back.tobytes() == values.tobytes()
 
 
 def test_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(str(tmp_path / "t.csv"), ("a", "b"), (np.zeros(2), np.zeros(3)))
+        write_table(str(tmp_path / "t.csv"), ("a", "b"), (np.zeros(2), np.zeros(3)))
 
 
 # Every table command on chain A under four kinds of state names, in both

@@ -329,7 +329,7 @@ def _dispatch(args):
             model, rewards, region, start, horizons, args.paths, args.seed
         )
         gap = terminal_truncation_gap(
-            model, rewards, region, start, horizons, args.paths, args.seed + 1
+            model, rewards, region, start, horizons, est.std_errors
         )
         record = {
             "liminf_window": est.liminf_window,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoMixingDetected, NumericalFailure, SingularSystem
+from .finite_horizon import _taboo_sweep
 from .markov import (
     Distribution,
     MarkovModel,
@@ -197,7 +198,7 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
 def stopped_potential_exact(
     model: MarkovModel, f, mu: Distribution, q, stop_region, cap_steps: int, start: int
 ) -> float:
-    """Exact E^x[ sum_{k < tau} dt*(f - mu(f)) + q(X_tau) ] by backward recursion.
+    """Exact E^x[ sum_{k < tau} dt*(f - mu(f)) + q(X_tau) ] by one taboo sweep.
 
     tau = min(hitting time of stop_region, cap_steps); independent of the
     Monte Carlo path, for cross-checking the stopped identity.
@@ -206,13 +207,9 @@ def stopped_potential_exact(
     qv = per_state(model, q, "q")
     region = region_mask(model, stop_region)
     start = state_index(model, start, "start")
-    if cap_steps < 0:
-        raise ValueError("cap_steps must be >= 0")
     centred = model.dt * (fv - float(mu.weights @ fv))
-    v = qv.copy()
-    for _ in range(cap_steps):
-        v = np.where(region, qv, centred + model.kernel @ v)
-    return float(v[start])
+    v = _taboo_sweep(model, ~region[:, None], qv[:, None], cap_steps, centred[:, None])
+    return float(v[start, 0])
 
 
 def verify_dynkin_identity(

@@ -20,7 +20,7 @@ class MathVerdictError(ErgoStopError):
 
 
 class NumericalFailure(ErgoStopError, ArithmeticError):
-    """A solve, certification check or simulation budget failed."""
+    """A solve or certification check failed."""
 
 
 # -- input defects ----------------------------------------------------------

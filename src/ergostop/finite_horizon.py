@@ -150,22 +150,31 @@ def check_supermartingale(
 # -- taboo sweeps: running maxima and the (B)-family -----------------------------
 
 def _taboo_sweep(
-    model: MarkovModel, keep: np.ndarray, value: np.ndarray, steps: int
+    model: MarkovModel, keep: np.ndarray, value: np.ndarray, steps, run=None
 ) -> np.ndarray:
-    """E^x[ value(X_{T ^ sigma}) ], sigma the first exit from the mask, for
-    every start x and every column of the (n, K) mask stack ``keep`` at once.
+    """E^x[ sum_{k < T ^ sigma} run(X_k) + value(X_{T ^ sigma}) ], sigma the
+    first exit from the mask, for every start x and every column of the
+    (n, K) mask stack ``keep`` at once; ``run`` is an optional (n, K) stack
+    of running terms, zero by default.
 
     ``value = keep`` gives the survival P^x{sigma > T}, ``value = ~keep`` the
-    exit probability P^x{sigma <= T}, each without cancellation. This is the
-    only T-step taboo loop of the module; each step is one
-    ``kernel_product`` of the whole stack.
+    exit probability P^x{sigma <= T}, each without cancellation. ``steps``
+    is one step count T, or an increasing grid of them, for which the stack
+    after each count comes back along a new first axis. This is the only
+    T-step taboo loop of the module; each step is one ``kernel_product`` of
+    the whole stack.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
+    grid = np.atleast_1d(steps)
+    if grid.min(initial=0) < 0:
+        raise ValueError(f"step count must be >= 0, got {grid.min()}")
     value = value.astype(float)
-    for _ in range(steps):
-        value = np.where(keep, kernel_product(model, value, forward=False), value)
-    return value
+    snaps = []
+    for more in np.diff(grid, prepend=0):
+        for _ in range(more):
+            step = kernel_product(model, value, forward=False)
+            value = np.where(keep, step if run is None else step + run, value)
+        snaps.append(value)
+    return np.stack(snaps) if np.ndim(steps) else value
 
 
 def _running_max_tail(model, m, steps, thresholds, weight=None) -> np.ndarray:
@@ -177,14 +186,19 @@ def _running_max_tail(model, m, steps, thresholds, weight=None) -> np.ndarray:
     sum_j P^x{M_T >= c_j} (u_j - u_{j-1}) with u_j = weight_j 1{c_j > c},
     and P^x{M_T >= c_j} is the probability of leaving {m <= c_{j-1}} by step
     T. For a nondecreasing nonnegative weight every term is nonnegative.
+    Only the levels with a nonzero weight row are swept: the others' reach
+    stays 0, which times their zero weights adds the same signed zero.
     """
     levels = np.unique(m)
-    below = m[:, None] <= levels[None, :-1]
-    reach = np.ones((len(m), len(levels)))
-    reach[:, 1:] = _taboo_sweep(model, below, ~below, steps)
     w = levels if weight is None else weight
     u = w[:, None] * (levels[:, None] > np.asarray(thresholds, dtype=float))
-    return reach @ np.diff(u, axis=0, prepend=0.0)
+    by_parts = np.diff(u, axis=0, prepend=0.0)
+    live = np.flatnonzero(by_parts[1:].any(axis=1))
+    below = m[:, None] <= levels[None, live]
+    reach = np.zeros((len(m), len(levels)))
+    reach[:, 0] = 1.0
+    reach[:, live + 1] = _taboo_sweep(model, below, ~below, steps)
+    return reach @ by_parts
 
 
 def truncation_gap_bound(

@@ -3,12 +3,14 @@
 Exact linear algebra certifies fixed points; what it cannot express is the
 defining capped functional itself,
 
-    E^x[ sum_{k < tau ^ T} dt f(X_k) + g(X_{tau ^ T}) ]   as T grows,
+    E^x[ sum_{k < tau ^ T} dt f(X_k) + g(X_{tau ^ T}) ]   as T grows.
 
-and the vanishing of the terminal term g-(X_T) on {tau > T}. These are
-sampled here with seeded, reproducible streams and fixed 3-standard-error
-verdicts. The running supremum of g+, whose integrability the unbounded
-rewards need, is computed exactly in ``finite_horizon`` and is not sampled.
+It is sampled here with seeded, reproducible streams and a fixed
+3-standard-error trend verdict. The vanishing of the terminal term
+g-(X_T) on {tau > T} and of the cap gap is computed exactly, by one taboo
+sweep, and judged against the estimate's own standard error. The running
+supremum of g+, whose integrability the unbounded rewards need, is also
+computed exactly, in ``finite_horizon``.
 
 The lim-inf over horizons is an idealization a finite run cannot take; it is
 realized as the running minimum over the largest quartile of the horizon
@@ -21,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, UnreachableRegion
+from .errors import UnreachableRegion
+from .finite_horizon import _taboo_sweep
+from .infinite_horizon import region_value
 from .markov import (
     MarkovModel,
     grid_steps,
@@ -29,7 +33,6 @@ from .markov import (
     residual_tol,
     simulate_block,
     state_index,
-    surely_hits,
 )
 from .rewards import RewardSpec
 
@@ -37,9 +40,6 @@ Z_THRESHOLD = 3.0
 VERDICT_PASS = "PASS"
 VERDICT_FAIL = "FAIL"
 VERDICT_DIVERGING = "MinusInfinityTrend"
-
-_BLOCK_STEPS = 64
-_MAX_BLOCKS = 16384
 
 
 @dataclass
@@ -66,9 +66,7 @@ class TailEstimate:
 
     horizons: np.ndarray
     gminus_terms: np.ndarray
-    gminus_std_errors: np.ndarray
     gaps: np.ndarray
-    gap_std_errors: np.ndarray
     verdict: str
 
 
@@ -97,9 +95,7 @@ def estimate_functional(
     """Sample the capped functional of the hitting rule of ``region``."""
     mask = region_mask(model, region)
     steps = _horizon_steps(model, horizons)
-    snaps, _, _ = _sample_hitting_rule(
-        model, rewards, mask, start, n_paths, seed, [(0, int(steps[-1]))], steps.tolist()
-    )
+    snaps = _sample_hitting_rule(model, rewards, mask, start, n_paths, seed, steps.tolist())
     estimates = np.empty(len(steps))
     ses = np.empty(len(steps))
     for i, (state_T, accrued_T) in enumerate(snaps):
@@ -132,56 +128,51 @@ def terminal_truncation_gap(
     region,
     start: int,
     horizons,
-    n_paths: int,
-    seed: int,
+    std_errors,
 ) -> TailEstimate:
-    """Measure the terminal leakage that capping the functional can cause.
+    """The terminal leakage that capping the functional can cause, exactly.
 
-    Per horizon T, reports E[1{tau > T} g-(X_T)] and the paired gap between
-    the capped functional and the uncapped one (paths run to their actual
-    hitting times). Verdict PASS iff both vanish within 3 standard errors at
-    the largest horizon.
+    Per horizon T, E^start[1{tau > T} g-(X_T)] and the cap gap between the
+    capped functional and v = ``region_value``. By the strong Markov
+    property the capped functional minus v is E[1{tau > T} (g - v)(X_T)],
+    so both are terminal columns of one taboo sweep, with no running term
+    and no cancellation. Verdict PASS iff at the largest horizon both are at
+    most Z_THRESHOLD times ``std_errors[-1]``, the functional estimate's
+    standard error there, plus ``residual_tol`` of their terminal columns.
     """
     mask = region_mask(model, region)
     start = state_index(model, start, "start")
     steps = _horizon_steps(model, horizons)
-    if not surely_hits(model.kernel, mask)[start]:
-        raise UnreachableRegion(
-            "region is missed with positive probability from start; "
-            "the hitting time is not integrable"
+    se = np.asarray(std_errors, dtype=float)
+    if se.shape != steps.shape:
+        raise ValueError("std_errors must give one standard error per horizon")
+    gm, gaps = np.zeros((2, len(steps)))
+    ok = True
+    if not mask[start]:   # from inside the region tau = 0: both are 0 exactly
+        value = region_value(model, rewards, mask)
+        if value[start] == -np.inf:
+            raise UnreachableRegion(
+                "region is missed with positive probability from start; "
+                "the hitting time is not integrable"
+            )
+        # terms off the region count exactly on {tau > T}; v is finite wherever
+        # the start can be before tau, so the other states' terms are never read
+        off = ~mask & np.isfinite(value)
+        terminal = np.column_stack([
+            np.where(off, rewards.g - value, 0.0),
+            np.where(mask, 0.0, np.maximum(-rewards.g, 0.0)),
+        ])
+        sweep = _taboo_sweep(model, ~mask[:, None], terminal, steps)[:, start]
+        gaps, gm = np.abs(sweep[:, 0]), sweep[:, 1]
+        noise = Z_THRESHOLD * se[-1]
+        ok = bool(
+            gm[-1] <= noise + residual_tol(terminal[:, 1])
+            and gaps[-1] <= noise + residual_tol(terminal[:, 0])
         )
-    blocks = ((b, _BLOCK_STEPS) for b in range(1, _MAX_BLOCKS + 1))
-    snaps, (state, accrued), live = _sample_hitting_rule(
-        model, rewards, mask, start, n_paths, seed, blocks, steps.tolist()
-    )
-    if live:
-        raise NumericalFailure(
-            f"paths failed to hit the region within {_MAX_BLOCKS * _BLOCK_STEPS} steps"
-        )
-    uncapped = accrued + rewards.g[state]
-    # paths stop in the region, so off it g- picks out exactly {tau > T}
-    gminus_off = np.where(mask, 0.0, np.maximum(-rewards.g, 0.0))
-    gm = np.empty(len(steps))
-    gm_se = np.empty(len(steps))
-    gaps = np.empty(len(steps))
-    gap_se = np.empty(len(steps))
-    for i, (state_T, accrued_T) in enumerate(snaps):
-        gm[i], gm_se[i] = _mean_se(gminus_off[state_T])
-        gap, gap_se[i] = _mean_se(accrued_T + rewards.g[state_T] - uncapped)
-        gaps[i] = abs(gap)
-    # at zero spread the slack is the rounding of each mean's own terms, at
-    # the largest horizon
-    ok = (
-        gm[-1] <= Z_THRESHOLD * gm_se[-1] + residual_tol(gminus_off)
-        and gaps[-1] <= Z_THRESHOLD * gap_se[-1]
-        + residual_tol(snaps[-1][1], rewards.g, uncapped)
-    )
     return TailEstimate(
         horizons=np.asarray(horizons, dtype=float),
         gminus_terms=gm,
-        gminus_std_errors=gm_se,
         gaps=gaps,
-        gap_std_errors=gap_se,
         verdict=VERDICT_PASS if ok else VERDICT_FAIL,
     )
 
@@ -193,17 +184,13 @@ def _sample_hitting_rule(
     start: int,
     n_paths: int,
     seed: int,
-    blocks,
     checkpoints,
 ):
-    """Run paths from ``start`` until they enter ``mask``, accruing dt f.
-
-    ``blocks`` are (stream block, steps) pairs, walked in turn until no path
-    is live: in each, the live paths take the steps on their streams (seed,
-    path id, block). Every path adds dt f(X_k) for k < tau in order, then
-    exact zeros. Returns, per checkpoint T, the states and accrued rewards
-    after T steps (the end ones once T reaches the steps taken); the same at
-    the end; and the number of paths still live there.
+    """Run paths from ``start`` on their block-0 streams (seed, path id, 0)
+    for up to the last checkpoint's steps, each stopping on entering
+    ``mask`` and adding dt f(X_k) for k < tau in order, then exact zeros.
+    Returns, per checkpoint T, the states and accrued rewards after T steps
+    (the end ones once T passes the steps taken).
     """
     start = state_index(model, start, "start")
     if n_paths < 1:
@@ -211,20 +198,11 @@ def _sample_hitting_rule(
     run = np.where(mask, 0.0, model.dt * rewards.f)
     state = np.full(n_paths, start, dtype=np.int64)
     accrued = np.zeros(n_paths)
-    ids = np.arange(0 if mask[start] else n_paths)
     snaps = dict.fromkeys(checkpoints)
-    taken = 0
-    for block, steps in blocks:
-        if not len(ids):
-            break
-        now, part = state[ids], accrued[ids]
-        for k in simulate_block(model, now, seed, ids, block, steps, stop=mask):
-            if taken + k in snaps:
-                state[ids], accrued[ids] = now, part
-                snaps[taken + k] = state.copy(), accrued.copy()
-            part += run[now]
-        state[ids], accrued[ids] = now, part
-        ids = ids[~mask[now]]
-        taken += steps
-    end = state, accrued
-    return [snaps[T] or end for T in checkpoints], end, len(ids)
+    if not mask[start]:
+        ids = np.arange(n_paths)
+        for k in simulate_block(model, state, seed, ids, 0, checkpoints[-1], stop=mask):
+            if k in snaps:
+                snaps[k] = state.copy(), accrued.copy()
+            accrued += run[state]
+    return [snaps[T] or (state, accrued) for T in checkpoints]

@@ -2,13 +2,12 @@
 
 ``reference_policy_iteration`` is the exception: a kept reference for the
 solver's rounds, sharing its tolerance so that the two agree bit for bit. So
-are ``argmax_functional`` and ``loop_truncation_gap``, the whole-path and
-per-step-loop readouts of the Monte Carlo samples, kept as references for
-``montecarlo._sample_hitting_rule``. So are ``dense_tv_curve`` and
-``dense_taboo_sweep``, the dense ``@`` loops that ``markov.kernel_product``
-replaced in the TV curve and the taboo sweep. ``simulate_table`` is no oracle
-at all: it collects the state table of ``markov.simulate_block`` for the
-engine tests.
+is ``argmax_functional``, the whole-path readout of the Monte Carlo samples,
+kept as the reference for ``montecarlo._sample_hitting_rule``. So are
+``dense_tv_curve`` and ``dense_taboo_sweep``, the dense ``@`` loops that
+``markov.kernel_product`` replaced in the TV curve and the taboo sweep.
+``simulate_table`` is no oracle at all: it collects the state table of
+``markov.simulate_block`` for the engine tests.
 """
 
 import math
@@ -368,46 +367,24 @@ def argmax_functional(model, rewards, mask, start, steps, n_paths, seed):
     return np.array(out).T
 
 
-def loop_truncation_gap(model, rewards, mask, start, steps, n_paths, seed, block_steps=64):
-    """The terminal-truncation readout with every path run to its hitting
-    time: block b of path i draws the stream (seed, i, b + 1) while the path
-    is live, and a per-step loop over the live rows adds dt f and copies the
-    states and sums at each checkpoint. Returns (gminus_terms,
-    gminus_std_errors, gaps, gap_std_errors, passed)."""
-    steps = [int(T) for T in steps]
-    run = model.dt * rewards.f
-    state = np.full(n_paths, start, dtype=np.int64)
-    acc = np.zeros(n_paths)
-    snaps = {}
-    ids = np.arange(n_paths) if not mask[start] else np.arange(0)
-    block = 0
-    while len(ids):
-        seg = loop_simulate_block(model, state[ids], seed, ids, block + 1, block_steps, stop=mask)
-        moved = (~mask[seg[:, :-1]]).sum(axis=1)
-        part = acc[ids]
-        for k in range(moved.max()):
-            if block * block_steps + k in steps:
-                state[ids], acc[ids] = seg[:, k], part
-                snaps[block * block_steps + k] = state.copy(), acc.copy()
-            live = moved > k
-            part[live] += run[seg[live, k]]
-        acc[ids] = part
-        state[ids] = seg[:, -1]
-        ids = ids[~mask[seg[:, -1]]]
-        block += 1
-    uncapped = acc + rewards.g[state]
-    gminus_off = np.where(mask, 0.0, np.maximum(-rewards.g, 0.0))
-    read = [snaps.get(T, (state, acc)) for T in steps]
-    gm, gm_se, gaps, gap_se = [], [], [], []
-    for state_T, acc_T in read:
-        mean, se = mean_se(gminus_off[state_T])
-        gm.append(mean)
-        gm_se.append(se)
-        mean, se = mean_se(acc_T + rewards.g[state_T] - uncapped)
-        gaps.append(abs(mean))
-        gap_se.append(se)
-    passed = (
-        gm[-1] <= 3.0 * gm_se[-1] + residual_tol(gminus_off)
-        and gaps[-1] <= 3.0 * gap_se[-1] + residual_tol(read[-1][1], rewards.g, uncapped)
-    )
-    return np.array(gm), np.array(gm_se), np.array(gaps), np.array(gap_se), passed
+def taboo_power_gap(kernel, dt, f, g, mask, steps):
+    """Exact capped values and g- terms of the hitting rule of ``mask`` for
+    every start, per step count T in ``steps``, from the powers of the dense
+    taboo kernel Q = diag(~mask) P: with w_0 = ~mask g and
+    c = ~mask (dt f + P (mask g)), the capped value is
+    mask g + Q^T w_0 + sum_{k < T} Q^k c, and the g- term is Q^T applied
+    to g- off the mask. Returns two (len(steps), n) arrays."""
+    off = ~mask
+    Q = off[:, None] * kernel
+    w0 = np.where(off, g, 0.0)
+    c = np.where(off, dt * f + kernel @ np.where(mask, g, 0.0), 0.0)
+    gminus_off = np.where(off, np.maximum(-g, 0.0), 0.0)
+    power, partial = np.eye(len(g)), np.zeros(len(g))
+    capped, gminus = [], []
+    for k in range(int(max(steps)) + 1):
+        if k in steps:
+            capped.append(np.where(mask, g, 0.0) + power @ w0 + partial)
+            gminus.append(power @ gminus_off)
+        partial = partial + power @ c
+        power = power @ Q
+    return np.array(capped), np.array(gminus)

@@ -276,7 +276,7 @@ def test_criterion_11_monte_carlo_functional():
         assert abs(est_a.estimates[i] - sol_a.w[0]) <= 3 * est_a.std_errors[i]
     gap_a = terminal_truncation_gap(
         chain_a, rewards_a, sol_a.region, start=0, horizons=[8, 16, 32, 64],
-        n_paths=50_000, seed=1112,
+        std_errors=est_a.std_errors,
     )
     assert gap_a.verdict == "PASS"
 
@@ -302,7 +302,7 @@ def test_criterion_11_monte_carlo_functional():
         assert abs(est_b.estimates[i] - sol_b.w[0]) <= 3 * est_b.std_errors[i]
     gap_b = terminal_truncation_gap(
         model_b, rewards_b, sol_b.region, start=0, horizons=[32, 64, 128, 256],
-        n_paths=20_000, seed=1114,
+        std_errors=est_b.std_errors,
     )
     assert gap_b.verdict == "PASS"
     print("criterion 11: PASS (both chains bracket w within 3 se at the two "

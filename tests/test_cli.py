@@ -11,15 +11,17 @@ from conftest import (
     CHAIN_A_G,
     CHAIN_A_KERNEL,
     CHAIN_B_COORDS,
+    CHAIN_B_F,
+    CHAIN_B_G,
     CHAIN_B_KERNEL,
     chain_b_generator_rows,
 )
-from ergostop import build_dtmc, cli, ergodicity, infinite_horizon, markov, montecarlo
+from ergostop import build_dtmc, cli, ergodicity, infinite_horizon, markov
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
 from ergostop.report import emit_report, write_table
-from oracles import exhaustive_finite_horizon
+from oracles import exhaustive_finite_horizon, taboo_power_gap
 
 
 def write_chain_a(tmp_path, name="chain_a.json", f=None, g=None):
@@ -257,15 +259,12 @@ def test_solve_infinite_bound_violation_exit_2(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "module, name, value, argv",
     [
-        (montecarlo, "_MAX_BLOCKS", 1,
-         ["simulate", "--region", "1", "--horizons", "4,8", "--paths", "200"]),
         (markov, "STATIONARY_TOL", -1.0, ["solve-infinite"]),
         (markov, "REL_TOL", -1.0, ["diagnose", "--check", "poisson"]),
     ],
-    ids=["simulation-step-budget", "stationary-residual", "poisson-residual"],
+    ids=["stationary-residual", "poisson-residual"],
 )
 def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys, module, name, value, argv):
-    # state 0 holds with probability 0.99: most paths need more than 64 steps
     path = tmp_path / "sticky.json"
     path.write_text(json.dumps({
         "states": ["0", "1"], "kernel": [[0.99, 0.01], [0.2, 0.8]], "dt": 1.0,
@@ -458,9 +457,36 @@ def test_simulate_command(tmp_path):
     assert header[0] == "horizon" and len(rows) == 3
 
 
+def test_simulate_chain_b_truncation_gap_is_exact(tmp_path):
+    # region {3, 4} from state 0: the gap columns are the dense taboo-power
+    # values, whatever the seed and path count
+    path = tmp_path / "chain_b.json"
+    path.write_text(json.dumps({
+        "states": [str(i) for i in range(5)], "kernel": CHAIN_B_KERNEL, "dt": 1.0,
+        "f": list(CHAIN_B_F), "g": list(CHAIN_B_G),
+    }))
+    out = str(tmp_path / "out")
+    assert run([
+        "simulate", "--model", str(path), "--region", "3,4", "--start", "0",
+        "--horizons", "32,64,128,256", "--paths", "2000", "--seed", "9", "--out", out,
+    ]) == 0
+    assert read_json(os.path.join(out, "verdicts.json"))["truncation_verdict"] == "PASS"
+    header, rows = read_csv(os.path.join(out, "estimates.csv"))
+    table = dict(zip(header, np.array(rows, dtype=float).T))
+    kernel, mask = np.array(CHAIN_B_KERNEL), np.arange(5) >= 3
+    steps = [32, 64, 128, 256]
+    capped, gminus = taboo_power_gap(kernel, 1.0, CHAIN_B_F, CHAIN_B_G, mask, steps)
+    # the uncapped value from the full-size system (I - diag(~R) P) v = ~R f + R g
+    system = np.eye(5) - ~mask[:, None] * kernel
+    value = np.linalg.solve(system, np.where(mask, CHAIN_B_G, CHAIN_B_F))
+    tol = 1e-12 * (np.abs(CHAIN_B_F).max() * steps[-1] + np.abs(value).max())
+    np.testing.assert_allclose(table["gminus_term"], gminus[:, 0], rtol=0.0, atol=tol)
+    np.testing.assert_allclose(table["cap_gap"], np.abs(capped[:, 0] - value[0]), rtol=0.0, atol=tol)
+
+
 @pytest.mark.parametrize("seed, code", [("-1", 1), ("4294967295", 0)])
 def test_simulate_seed_domain(tmp_path, capsys, seed, code):
-    # the truncation gap draws from seed + 1, here 2**32: two entropy words
+    # the largest seed the streams take
     model = write_chain_a(tmp_path)
     assert run([
         "simulate", "--model", model, "--region", "1", "--horizons", "4,8",

@@ -284,7 +284,7 @@ STATE_INDEX_CALLS = {
     "tv-probe": lambda m, rw, i: tv_distance_curve(
         m, stationary_distribution(m), [0, i], 4.0),
     "truncation-gap-start": lambda m, rw, i: terminal_truncation_gap(
-        m, rw, [2], i, [4.0], 100, 1),
+        m, rw, [2], i, [4.0], [0.1]),
     "stopped-potential-start": lambda m, rw, i: stopped_potential_exact(
         m, rw.f, stationary_distribution(m), np.zeros(5), [2], 3, i),
     "dynkin-start": lambda m, rw, i: verify_dynkin_identity(
@@ -422,10 +422,9 @@ def test_rows_that_start_stopped_draw_nothing(chain_a, counted_blocks):
     stop = np.array([False, True])
     paths = simulate_table(chain_a, np.ones(500, dtype=int), 4, np.arange(500), 0, 64, stop)
     assert (paths == 1).all() and counted_blocks[0] == 0
-    # the simulate command from a stop state: the functional and the gap
+    # the simulate command from a stop state
     rewards = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G)
     estimate_functional(chain_a, rewards, [1], 1, [8, 16], 500, 4)
-    terminal_truncation_gap(chain_a, rewards, [1], 1, [8, 16], 500, 5)
     assert counted_blocks[0] == 0
 
 

@@ -13,6 +13,7 @@ from ergostop import (
     build_dtmc,
     estimate_functional,
     make_rewards,
+    region_value,
     solve_infinite_horizon,
     stationary_distribution,
     terminal_truncation_gap,
@@ -22,7 +23,7 @@ from ergostop import (
 from ergostop.errors import UnreachableRegion
 from ergostop.finite_horizon import _running_max_tail
 from ergostop.markov import residual_tol, surely_hits
-from oracles import argmax_functional, loop_truncation_gap
+from oracles import argmax_functional, taboo_power_gap
 
 
 def test_stop_everywhere_is_exact(chain_a, chain_a_rewards):
@@ -95,53 +96,71 @@ def test_zeta_tail_approaches_exact_from_below(chain_a):
 
 
 def test_terminal_gap_nonnegative_g(chain_a, chain_a_rewards):
-    rep = terminal_truncation_gap(
-        chain_a, chain_a_rewards, [1], start=0, horizons=[4, 8, 16],
-        n_paths=2000, seed=17,
-    )
-    np.testing.assert_allclose(rep.gminus_terms, 0.0)
+    # g >= 0: the g- term is 0 exactly; the cap gap is 0.6^T |g(0) - w(0)|,
+    # w(0) = f(0) / 0.4 + g(1) = 10
+    horizons = [4, 8, 16]
+    rep = terminal_truncation_gap(chain_a, chain_a_rewards, [1], 0, horizons, [0.01] * 3)
+    np.testing.assert_array_equal(rep.gminus_terms, 0.0)
+    exact = 10.0 * 0.6 ** np.array(horizons)
+    np.testing.assert_allclose(rep.gaps, exact, rtol=0.0, atol=residual_tol(10.0, exact))
     assert rep.verdict == "PASS"
 
 
 def test_terminal_gap_stop_everywhere(chain_a, chain_a_rewards):
-    rep = terminal_truncation_gap(
-        chain_a, chain_a_rewards, [0, 1], start=1, horizons=[2, 4],
-        n_paths=500, seed=19,
-    )
-    np.testing.assert_allclose(rep.gaps, 0.0)
-    np.testing.assert_allclose(rep.gminus_terms, 0.0)
+    # tau = 0: both numbers are 0 exactly, whatever the standard errors
+    rep = terminal_truncation_gap(chain_a, chain_a_rewards, [0, 1], 1, [2, 4], [0.0, 0.0])
+    np.testing.assert_array_equal(rep.gaps, 0.0)
+    np.testing.assert_array_equal(rep.gminus_terms, 0.0)
     assert rep.verdict == "PASS"
 
 
 def test_terminal_gap_negative_terminal_variant(chain_a):
-    # variant g = (-4, 5): the g- term is 4 P(tau > T) = 4 * 0.6^T exactly
+    # variant g = (-4, 5): the g- term is 4 P(tau > T) = 4 * 0.6^T and the cap
+    # gap 0.6^T |g(0) - w(0)| = 14 * 0.6^T, both in closed form
     rw = make_rewards(chain_a, CHAIN_A_F, [-4.0, 5.0])
-    horizons = [2, 4, 8, 16, 32]
-    rep = terminal_truncation_gap(
-        chain_a, rw, [1], start=0, horizons=horizons, n_paths=100_000, seed=23,
-    )
-    for i, T in enumerate(horizons):
-        exact = 4.0 * 0.6 ** T
-        assert abs(rep.gminus_terms[i] - exact) <= 3 * rep.gminus_std_errors[i] + 1e-6
+    horizons = [0, 2, 4, 8, 16, 32]
+    rep = terminal_truncation_gap(chain_a, rw, [1], 0, horizons, [0.01] * 6)
+    tail = 0.6 ** np.array(horizons)
+    tol = residual_tol(CHAIN_A_F, rw.g, 10.0)
+    np.testing.assert_allclose(rep.gminus_terms, 4.0 * tail, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(rep.gaps, 14.0 * tail, rtol=0.0, atol=tol)
     assert rep.verdict == "PASS"
-    # the gap closes geometrically as well
-    assert rep.gaps[-1] <= rep.gaps[0] + 1e-12
+
+
+def test_terminal_gap_verdict_reads_the_largest_horizon_standard_error(chain_a):
+    # at T = 32 the gap 14 * 0.6^32 = 1.1e-6 beats the residual tolerance:
+    # it passes only within 3 standard errors of the functional estimate
+    rw = make_rewards(chain_a, CHAIN_A_F, [-4.0, 5.0])
+    gap = 14.0 * 0.6**32
+    for se, verdict in ((gap / 2.9, "PASS"), (gap / 3.1, "FAIL"), (0.0, "FAIL")):
+        rep = terminal_truncation_gap(chain_a, rw, [1], 0, [16, 32], [1.0, se])
+        assert rep.verdict == verdict
+    # at zero spread only the residual tolerance is left: 14 * 0.6^40 = 1.9e-8
+    # stays above it, 14 * 0.6^64 = 8.8e-14 falls below
+    assert terminal_truncation_gap(chain_a, rw, [1], 0, [16, 40], [0.0, 0.0]).verdict == "FAIL"
+    assert terminal_truncation_gap(chain_a, rw, [1], 0, [16, 64], [0.0, 0.0]).verdict == "PASS"
 
 
 def test_terminal_gap_unreachable_region_raises():
     m = build_dtmc([0, 1], [[1.0, 0.0], [0.5, 0.5]])
     rw = make_rewards(m, [-1.0, -1.0], [0.0, 0.0], mu=Distribution(np.array([1.0, 0.0])))
     with pytest.raises(UnreachableRegion):
-        terminal_truncation_gap(m, rw, [1], start=0, horizons=[4], n_paths=10, seed=1)
+        terminal_truncation_gap(m, rw, [1], start=0, horizons=[4], std_errors=[0.1])
 
 
 def test_terminal_gap_region_passed_through_is_hit():
     # 0 -> 1 -> 2 with 2 absorbing: region {1} is hit from 0 at step 1 surely
     m = build_dtmc([0, 1, 2], [[0, 1, 0], [0, 0, 1], [0, 0, 1]])
     rw = make_rewards(m, [-1.0, 2.0, -3.0], [4.0, 6.0, 1.0])
-    rep = terminal_truncation_gap(m, rw, [1], start=0, horizons=[1, 2], n_paths=50, seed=1)
+    rep = terminal_truncation_gap(m, rw, [1], 0, [0, 1, 2], [0.0, 0.0, 0.0])
     assert rep.verdict == "PASS"
-    np.testing.assert_array_equal(rep.gaps, 0.0)
+    assert rep.gaps.tolist() == [1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(rep.gminus_terms, 0.0)
+
+
+def test_terminal_gap_needs_one_standard_error_per_horizon(chain_a, chain_a_rewards):
+    with pytest.raises(ValueError, match="one standard error per horizon"):
+        terminal_truncation_gap(chain_a, chain_a_rewards, [1], 0, [4, 8], [0.1])
 
 
 def test_reproducibility_under_seed(chain_a, chain_a_rewards):
@@ -151,10 +170,6 @@ def test_reproducibility_under_seed(chain_a, chain_a_rewards):
     c = estimate_functional(chain_a, chain_a_rewards, seed=32, **kwargs)
     np.testing.assert_array_equal(a.estimates, b.estimates)
     assert (a.estimates != c.estimates).any()
-    ga = terminal_truncation_gap(chain_a, chain_a_rewards, [1], 0, [4, 8], 3000, 31)
-    gb = terminal_truncation_gap(chain_a, chain_a_rewards, [1], 0, [4, 8], 3000, 31)
-    np.testing.assert_array_equal(ga.gminus_terms, gb.gminus_terms)
-    np.testing.assert_array_equal(ga.gaps, gb.gaps)
 
 
 def test_liminf_limsup_windows_coincide_for_integrable_tau(chain_a, chain_a_rewards):
@@ -169,11 +184,17 @@ def test_liminf_limsup_windows_coincide_for_integrable_tau(chain_a, chain_a_rewa
 
 @pytest.mark.parametrize("sampler", [estimate_functional, terminal_truncation_gap])
 def test_negative_horizon_rejected(chain_a, chain_a_rewards, sampler):
-    with pytest.raises(ValueError):
-        sampler(chain_a, chain_a_rewards, [1], 0, [-2, 4], 10, 1)
+    # after the horizons the functional takes (n_paths, seed), the gap the
+    # standard errors
+    rest = (10, 1) if sampler is estimate_functional else ([0.1, 0.1],)
+    with pytest.raises(ValueError, match="horizons"):
+        sampler(chain_a, chain_a_rewards, [1], 0, [-2, 4], *rest)
+
+
+def test_path_count_must_be_positive(chain_a, chain_a_rewards):
     for n_paths in (0, -3):
         with pytest.raises(ValueError, match="n_paths must be >= 1"):
-            sampler(chain_a, chain_a_rewards, [1], 0, [2, 4], n_paths, 1)
+            estimate_functional(chain_a, chain_a_rewards, [1], 0, [2, 4], n_paths, 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -203,17 +224,53 @@ def test_hitting_rule_sampler_matches_the_readout_references(seed, n, cyclic, in
     ref_est, ref_se = argmax_functional(*refs)
     assert est.estimates.tolist() == ref_est.tolist()
     assert est.std_errors.tolist() == ref_se.tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_exact_truncation_gap_matches_the_taboo_power_oracle(seed, walk, inside):
+    rng = np.random.default_rng(seed)
+    if walk:
+        # a lazy walk wide enough that kernel products gather over supports
+        n = int(rng.integers(96, 129))
+        x = np.arange(n)
+        P = np.zeros((n, n))
+        np.add.at(P, (x, np.maximum(x - 1, 0)), 0.25 + rng.random(n))
+        np.add.at(P, (x, np.minimum(x + 1, n - 1)), 0.25 + rng.random(n))
+        P[x, x] += rng.random(n)
+    else:
+        n = int(rng.integers(1, 9))
+        P = (0.2 + rng.random((n, n))) * (rng.random((n, n)) < 0.5)
+        P[np.arange(n), rng.integers(0, n, n)] += 0.2 + rng.random(n)
+    P /= P.sum(axis=1, keepdims=True)
+    dt = float(rng.choice([0.5, 1.0, 2.0]))
+    m = build_dtmc(list(range(n)), P, dt=dt)
+    assert m.supports.gather == walk
+    mask = rng.random(n) < (0.1 if walk else 0.4)
+    pool = np.flatnonzero(mask == inside)
+    start = int(rng.choice(pool)) if len(pool) else 0
+    steps = np.unique(np.r_[0, rng.integers(1, 80, 3)])
+    rewards = RewardSpec(f=rng.normal(0.0, 2.0, n), g=rng.normal(0.0, 3.0, n))
+    se = rng.random(len(steps))
+    args = (m, rewards, mask, start, steps * dt, se)
     if not surely_hits(m.kernel, mask)[start]:
         with pytest.raises(UnreachableRegion):
             terminal_truncation_gap(*args)
         return
     rep = terminal_truncation_gap(*args)
-    gm, gm_se, gaps, gap_se, passed = loop_truncation_gap(*refs)
-    assert rep.gminus_terms.tolist() == gm.tolist()
-    assert rep.gminus_std_errors.tolist() == gm_se.tolist()
-    assert rep.gaps.tolist() == gaps.tolist()
-    assert rep.gap_std_errors.tolist() == gap_se.tolist()
-    assert (rep.verdict == "PASS") == passed
+    capped, gminus = taboo_power_gap(m.kernel, dt, rewards.f, rewards.g, mask, steps)
+    w = region_value(m, rewards, mask)[start]
+    scale = residual_tol(steps[-1] * dt * rewards.f, rewards.g, w)
+    np.testing.assert_allclose(rep.gminus_terms, gminus[:, start], rtol=0.0, atol=scale)
+    gaps = np.abs(capped[:, start] - w)
+    np.testing.assert_allclose(rep.gaps, gaps, rtol=0.0, atol=scale)
+    if mask[start]:
+        assert rep.gaps.tolist() == rep.gminus_terms.tolist() == [0.0] * len(steps)
+    noise = 3.0 * se[-1]
+    margin = min(abs(gminus[-1, start] - noise), abs(gaps[-1] - noise))
+    if margin > scale:
+        passed = gminus[-1, start] <= noise and gaps[-1] <= noise
+        assert (rep.verdict == "PASS") == passed
 
 
 def _peak(sample, model, rewards, region, start, top, n_paths):
@@ -234,8 +291,7 @@ def test_functional_peak_memory_is_about_one_paths_array(chain_b, chain_b_reward
     peak = partial(_peak, model=chain_b, rewards=chain_b_rewards, region=[0], start=4,
                    n_paths=n_paths)
     assert peak(estimate_functional, top=256) <= 1.5 * n_paths * (256 + 1) * 8
-    for sample in (estimate_functional, terminal_truncation_gap):
-        assert peak(sample, top=4096) <= 1.25 * peak(sample, top=256)
+    assert peak(estimate_functional, top=4096) <= 1.25 * peak(estimate_functional, top=256)
 
 
 def test_functional_peak_memory_on_a_slow_walk_does_not_grow_with_the_horizon():
@@ -274,15 +330,14 @@ def test_golden_dynkin_past_one_block(chain_b):
 
 
 def test_golden_truncation_gap_across_blocks(chain_b):
-    # g < 0 off the region, so the g- term is nonzero at the block edges 64, 128
+    # g < 0 off the region: the exact g- term and cap gap from state 4, which
+    # the sampled readout matched within its standard errors
     rw = make_rewards(chain_b, CHAIN_B_F, [0.0, -1.0, -2.0, -3.0, -4.0])
-    rep = terminal_truncation_gap(chain_b, rw, [0], 4, [32, 64, 128, 256], 40, 8)
-    assert rep.gminus_terms.tolist() == [1.775, 0.525, 0.1, 0.0]
-    assert rep.gminus_std_errors.tolist() == [
-        0.2643024200244281, 0.17898395573418419, 0.09999999999999999, 0.0,
+    rep = terminal_truncation_gap(chain_b, rw, [0], 4, [32, 64, 128, 256], [1.0] * 4)
+    assert rep.gminus_terms.tolist() == [
+        1.3416034361958575, 0.5036243264043962, 0.07097304603775823, 0.0014095060394765464,
     ]
-    assert rep.gaps.tolist() == [36.425, 7.75, 0.6, 0.0]
-    assert rep.gap_std_errors.tolist() == [
-        9.369542000956733, 4.6252858539520805, 0.6, 0.0,
+    assert rep.gaps.tolist() == [
+        35.92003430943159, 13.484164617177242, 1.9002502238105827, 0.03773846997566846,
     ]
     assert rep.verdict == "PASS"

@@ -161,7 +161,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "68b3e3ca6351ca8de875bc0f88ebcc7d0031db706e60373bcad8a36f3aa69f9d",
         "poisson": "c8d14f0dbc6da737a3a714d83fbb7e9e4cfadca92193c8f065b311757cea2e2b",
         "tv": "14d7129e21c2550b1468f38bc6460081dc865cd07e567c050eb6cfe15c6ee1b2",
-        "simulate": "1cb1b69183154e25d3e8f1f56dba10f075d1f613698e88f944cac9c3a6105ff6",
+        "simulate": "140e209c409a2ff6259cd6ef0e7316b1613cfd6806cec68d1f9586f1dda591e6",
         "compactify": "5970a7ad50a3b415d724f9c715310c4425a286eedb2b9dce635b646fe0e8160e",
     },
     "str-json": {
@@ -170,7 +170,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "a81aa6ee471c349c59756fe91a63097b12afcb8e43994e60ba4521af7e9ca8e7",
         "poisson": "10488789d68317c677f69f2bd17029f7855ef630898b39afb90609f87e0a78f6",
         "tv": "31fd30ad7e49848652de6ecbaf579b9faba65442ddbeb7f68397895c4b309d8f",
-        "simulate": "a3b747a033dfea9e3352de7ddc5ad777426e438614743c3261f4d17008fda1fc",
+        "simulate": "26aa49d2a458255a83e69ead49f928117820347aa7150cd40e327a3a8509b89e",
         "compactify": "175b3fa61a556cc76dd0724b4b0430d672640c0e0d7ccfdefb5061defaf620fe",
     },
     "int-csv": {
@@ -179,7 +179,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "f88039d7a027e77f6cddebea01ff87916d3b08189176a4cfbe5300ed0b5efdd2",
         "poisson": "cc470bad56d17011bb832a415e5c4bec47c1a5971c1e44eaba9813c9e7a8c225",
         "tv": "acebba6904c2ec301fcaee41dd3d9b7395bac3d8ea973f21e5ad356823ff74d7",
-        "simulate": "1cb1b69183154e25d3e8f1f56dba10f075d1f613698e88f944cac9c3a6105ff6",
+        "simulate": "140e209c409a2ff6259cd6ef0e7316b1613cfd6806cec68d1f9586f1dda591e6",
         "compactify": "939e851482dc2f4ab68a4b64018ea2ae50037289f2253448d8e7877e32ab6723",
     },
     "int-json": {
@@ -188,7 +188,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "8dfee8d64f5e047eb3dca7f51edb5f9086f201ef095148b628fdfcaab8ad8b97",
         "poisson": "9b7c3df919f3ba3d459ca0f14ee0a483e9ed08d40b9a0d1b86a0bab67751cf5a",
         "tv": "ede3380d16e7d23b79c2a828254c570acb2ee7f4c1bb47e49cb892283678cb35",
-        "simulate": "a3b747a033dfea9e3352de7ddc5ad777426e438614743c3261f4d17008fda1fc",
+        "simulate": "26aa49d2a458255a83e69ead49f928117820347aa7150cd40e327a3a8509b89e",
         "compactify": "b992afefc56ef5fb17902d179181699fb9bf6f882267b30ec010cb8cd1960816",
     },
     "float-csv": {
@@ -197,7 +197,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "5814521eee75fcaab3489684ccdf20a18cf67643cd063aa51920880c489804e1",
         "poisson": "9852b8d9dfc9e5fd915da5b131a43d9bf07c7e45b3384913e0dc05c496d9d7df",
         "tv": "c439a1d691e618100ec5866445d23eb59a0addaec899378fc2c00338538d0eaa",
-        "simulate": "1cb1b69183154e25d3e8f1f56dba10f075d1f613698e88f944cac9c3a6105ff6",
+        "simulate": "140e209c409a2ff6259cd6ef0e7316b1613cfd6806cec68d1f9586f1dda591e6",
         "compactify": "29a1d950ad581065adc7f624a0ec1fb5497e811187145226fcdcf6edb5e6a5dc",
     },
     "float-json": {
@@ -206,7 +206,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "b7a04066ea09d5a56de4c72f19743da148089acca206cd94adf212989067bada",
         "poisson": "b7066bf21b41446ad52a9799d20f98cc5d8099a8695eee22dcd75b805e3537d2",
         "tv": "94039babaa6581b5a5f4a8c48cc115d0011cd1fac337d692efe30b9df64eab6a",
-        "simulate": "a3b747a033dfea9e3352de7ddc5ad777426e438614743c3261f4d17008fda1fc",
+        "simulate": "26aa49d2a458255a83e69ead49f928117820347aa7150cd40e327a3a8509b89e",
         "compactify": "26c85ec934dc3e7614e920861053205ebb9934a990e63004e44ecd464c37e0e8",
     },
     "mixed-csv": {
@@ -215,7 +215,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "b4a7bf667836f8a34efd238b7c9a1a4afd5839a8c86187da54aaf6ab3a4b6dbb",
         "poisson": "dfc5d68b4c264823f51c212067348f073d3df17ef026228ced2c77063bbc560e",
         "tv": "44b0272ebc46748defcb410c51bd5b324795183e3061c2903fc7ba2602eeb310",
-        "simulate": "1cb1b69183154e25d3e8f1f56dba10f075d1f613698e88f944cac9c3a6105ff6",
+        "simulate": "140e209c409a2ff6259cd6ef0e7316b1613cfd6806cec68d1f9586f1dda591e6",
         "compactify": "10be6721a99e4d855795cf307a3158c384b3617406a9e60553fd352ed9ec9092",
     },
     "mixed-json": {
@@ -224,7 +224,7 @@ GOLDEN_DIGESTS = {
         "solve-infinite": "6fa4d1d6a09229550b46d7cbdcd1e8cbc2b26613862bdc5a0c2ada53fa5f90dd",
         "poisson": "57dc396667dcaefe5c30f774a061563c576ff08f70d18bec39b15568833725ee",
         "tv": "a1c5ff13e86497a25793ab1bd640a3f541128cf16c4ad79f694e79b0287dc119",
-        "simulate": "a3b747a033dfea9e3352de7ddc5ad777426e438614743c3261f4d17008fda1fc",
+        "simulate": "26aa49d2a458255a83e69ead49f928117820347aa7150cd40e327a3a8509b89e",
         "compactify": "3de9f88451731e7a51ba42a4bf582027e947bc109ef7e9ee0d5132eca4cab47e",
     },
 }

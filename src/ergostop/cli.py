@@ -46,6 +46,7 @@ from .finite_horizon import (
 from .infinite_horizon import (
     DEFAULT_DELTA,
     brute_force_region_oracle,
+    check_oracle_size,
     compactify_running_reward,
     solve_infinite_horizon,
     stopping_rule_eps,
@@ -296,6 +297,7 @@ def _dispatch(args):
         return {"values": (tuple(header), columns), "certification": record}, None
 
     if args.command == "oracle-check":
+        check_oracle_size(model.n_states)  # before the solver spends its time
         _require_rewards(mf)
         rewards = make_rewards(model, mf.f, mf.g)
         sol = solve_infinite_horizon(model, rewards)

@@ -41,7 +41,10 @@ from .markov import (
 from .rewards import RewardSpec, make_rewards
 
 DEFAULT_DELTA = 0.5
-# regions per batched solve of the oracle: the stack holds 256 * n^2 floats
+# the region oracle enumerates 2^n - 1 regions: refused beyond this many states
+ORACLE_MAX_STATES = 20
+# reduced systems per batched solve of the oracle: regions whose continuation
+# sets have m states stack 256 * m^2 floats at a time
 ORACLE_BLOCK = 256
 
 
@@ -344,36 +347,70 @@ def stopping_time_bound(
     )
 
 
+def check_oracle_size(n_states: int) -> None:
+    """Refuse a chain too large for the region oracle's 2^n enumeration."""
+    if n_states > ORACLE_MAX_STATES:
+        raise TooManyStates(
+            f"{n_states} states: 2^n enumeration refused beyond {ORACLE_MAX_STATES}"
+        )
+
+
+def _region_values(kernel: np.ndarray, dt: float, run: np.ndarray, term: np.ndarray):
+    """Every nonempty stop region R as a row of ``masks`` and the exact value
+    of its hitting rule as the same row of ``values``, for an irreducible
+    kernel, where every such rule stops almost surely.
+
+    v = term on R, and on the continuation set C = ~R it solves the reduced
+    system (I - P[C, C]) v_C = (dt run + P (term on R))[C], nonsingular since
+    R is hit almost surely. Regions are grouped by m = |C| and each group is
+    solved ``ORACLE_BLOCK`` systems per batched solve plus one refinement
+    step; m = 0, stopping everywhere, needs no solve.
+    """
+    n = len(term)
+    codes = np.arange(1, 1 << n)
+    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+    free = ~masks
+    values = np.where(masks, term, 0.0)
+    run_dt = dt * run
+    i_minus_p = np.eye(n) - kernel  # its [C, C] block is I_m - P[C, C] exactly
+    sizes = free.sum(axis=1)
+    # region indices by continuation size, ascending within a size
+    order = np.argsort(sizes, kind="stable")
+    ends = np.cumsum(np.bincount(sizes, minlength=n))
+    for m in range(1, n):
+        group = order[ends[m - 1]:ends[m]]
+        for lo in range(0, len(group), ORACLE_BLOCK):
+            rows = group[lo:lo + ORACLE_BLOCK]
+            cont = np.nonzero(free[rows])[1].reshape(-1, m)
+            A = i_minus_p[cont[:, :, None], cont[:, None, :]]
+            # one matrix-vector product per region, whatever the block holds
+            rhs = run_dt[cont, None] + kernel[cont] @ values[rows, :, None]
+            v = np.linalg.solve(A, rhs)
+            v += np.linalg.solve(A, rhs - A @ v)
+            values[rows[:, None], cont] = v[:, :, 0]
+    return masks, values
+
+
 def brute_force_region_oracle(model: MarkovModel, rewards: RewardSpec) -> OracleResult:
     """Independent certification by enumerating every nonempty stop region.
 
-    Shares no evaluation code with the solver: region R is valued by the
-    full-size system (I - diag(~R) P) v = ~R dt f + R g, ``ORACLE_BLOCK``
-    regions per batched solve plus one refinement step. Reducible chains are
-    refused, so every nonempty region is hit almost surely and every system
-    is nonsingular. Returns the pointwise best value, every region achieving
-    it at all states simultaneously (within the solver's tie rule,
-    ``residual_tol`` of g, dt * f and the best value), and their union, whose
-    hitting time is the smallest optimal stopping time.
+    Shares no evaluation code with the solver: region R is valued on its
+    continuation set C = ~R alone, by the reduced system
+    (I - P[C, C]) v_C = dt f[C] + P[C, R] g[R] with v = g on R, the regions
+    grouped by |C| and solved ``ORACLE_BLOCK`` at a time in one batched solve
+    plus one refinement step. Chains beyond ``ORACLE_MAX_STATES`` states are
+    refused first, then reducible chains, so every nonempty region is hit
+    almost surely and every system is nonsingular. Returns the pointwise best
+    value, every region achieving it at all states simultaneously (within
+    the solver's tie rule, ``residual_tol`` of g, dt * f and the best value),
+    and their union, whose hitting time is the smallest optimal stopping time.
     """
-    n = model.n_states
-    if n > 20:
-        raise TooManyStates(f"{n} states: 2^n enumeration refused beyond 20")
+    check_oracle_size(model.n_states)
     if not model.irreducible:
         raise NotIrreducible("region oracle needs an irreducible chain")
-    codes = np.arange(1, 1 << n)
-    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
-    values = np.empty(masks.shape)
-    run_dt = model.dt * rewards.f
-    for lo in range(0, len(masks), ORACLE_BLOCK):
-        stop = masks[lo:lo + ORACLE_BLOCK]
-        A = np.eye(n) - ~stop[:, :, None] * model.kernel
-        rhs = np.where(stop, rewards.g, run_dt)[:, :, None]
-        v = np.linalg.solve(A, rhs)
-        v += np.linalg.solve(A, rhs - A @ v)
-        values[lo:lo + ORACLE_BLOCK] = np.where(stop, rewards.g, v[:, :, 0])
+    masks, values = _region_values(model.kernel, model.dt, rewards.f, rewards.g)
     best = values.max(axis=0)
-    tie = residual_tol(rewards.g, run_dt, best)
+    tie = residual_tol(rewards.g, model.dt * rewards.f, best)
     optimal = masks[np.all(values >= best - tie, axis=1)]
     return OracleResult(
         w=best, optimal_regions=list(optimal), minimal_time_region=optimal.any(axis=0)

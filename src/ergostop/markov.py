@@ -378,14 +378,17 @@ def kernel_product(model: MarkovModel, stack: np.ndarray, forward: bool) -> np.n
     function, its one-step expectation).
 
     A kernel that ``Supports.gather`` sends to the dense path gives the
-    numpy product itself. Otherwise each output entry sums the state's
-    support slots in slot order, with no BLAS call, so it has one rounding
-    whatever the BLAS build or the stack's shape, a few ulp from the dense
-    product's. Forward, ``einsum`` gathers rows of the stack over the
-    predecessors and loops over rows, then slots, then the
-    n >= ``GATHER_RATIO`` contiguous entries. Backward, each slot adds
-    its weighted successor rows in turn. Both run in chunks of rows of at
-    most ``_GATHER_CHUNK`` output entries.
+    numpy product itself, whose bytes for one column (or row) may depend on
+    how many share its stack: BLAS picks its kernel by the stack's shape, a
+    matrix-vector product for a lone column, so a column swept alone and
+    the same column inside a wider stack agree only to rounding. Otherwise
+    each output entry sums the state's support slots in slot order, with
+    no BLAS call, so it has one rounding whatever the BLAS build or the
+    stack's shape, a few ulp from the dense product's. Forward, ``einsum``
+    gathers rows of the stack over the predecessors and loops over rows,
+    then slots, then the n >= ``GATHER_RATIO`` contiguous entries.
+    Backward, each slot adds its weighted successor rows in turn. Both run
+    in chunks of rows of at most ``_GATHER_CHUNK`` output entries.
     """
     sup = model.supports
     if not sup.gather:

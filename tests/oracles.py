@@ -5,7 +5,9 @@ solver's rounds, sharing its tolerance so that the two agree bit for bit. So
 is ``argmax_functional``, the whole-path readout of the Monte Carlo samples,
 kept as the reference for ``montecarlo._sample_hitting_rule``. So are
 ``dense_tv_curve`` and ``dense_taboo_sweep``, the dense ``@`` loops that
-``markov.kernel_product`` replaced in the TV curve and the taboo sweep.
+``markov.kernel_product`` replaced in the TV curve and the taboo sweep. So
+is ``full_system_region_values``, the full-size batched formulation that the
+region oracle's reduced continuation-set systems replaced.
 ``simulate_table`` is no oracle at all: it collects the state table of
 ``markov.simulate_block`` for the engine tests.
 """
@@ -388,3 +390,23 @@ def taboo_power_gap(kernel, dt, f, g, mask, steps):
         partial = partial + power @ c
         power = power @ Q
     return np.array(capped), np.array(gminus)
+
+
+def full_system_region_values(kernel, dt, f, g):
+    """Every nonempty stop region R (rows of ``masks``) valued by the
+    full-size system (I - diag(~R) P) v = ~R dt f + R g, 256 regions per
+    batched solve plus one refinement step; stop states take g exactly.
+    Returns (masks, values) in the order of ``_region_values``."""
+    n = len(g)
+    run_dt = dt * f
+    codes = np.arange(1, 1 << n)
+    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+    values = np.empty(masks.shape)
+    for lo in range(0, len(masks), 256):
+        stop = masks[lo:lo + 256]
+        A = np.eye(n) - ~stop[:, :, None] * kernel
+        rhs = np.where(stop, g, run_dt)[:, :, None]
+        v = np.linalg.solve(A, rhs)
+        v += np.linalg.solve(A, rhs - A @ v)
+        values[lo:lo + 256] = np.where(stop, g, v[:, :, 0])
+    return masks, values

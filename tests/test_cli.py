@@ -384,6 +384,53 @@ def test_oracle_check_command(tmp_path):
     assert rec["max_diff"] <= 1e-8
 
 
+def _write_walk(tmp_path, n):
+    """The benchmark corpus's lazy reflecting walk with its rewards."""
+    P = 0.5 * np.eye(n)
+    for x in range(n):
+        P[x, max(x - 1, 0)] += 0.25
+        P[x, min(x + 1, n - 1)] += 0.25
+    x = np.arange(n)
+    path = tmp_path / f"walk-{n}.json"
+    path.write_text(json.dumps({
+        "states": [str(i) for i in x], "kernel": P.tolist(), "dt": 1.0,
+        "f": np.where(x < n // 2, -1.2, 0.3).tolist(), "g": (5.0 * np.sin(x / 7.0)).tolist(),
+    }))
+    return str(path)
+
+
+def test_oracle_check_refuses_too_many_states_before_solving(tmp_path, monkeypatch,
+                                                             capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver must not run on a model the oracle refuses")
+
+    monkeypatch.setattr(cli, "solve_infinite_horizon", refuse)
+    out = tmp_path / "out"
+    assert run(["oracle-check", "--model", _write_walk(tmp_path, 21), "--out", str(out)]) == 1
+    assert "TooManyStates" in capsys.readouterr().err
+    assert not (out / "oracle_check.json").exists()
+
+
+def _write_one_state(tmp_path):
+    path = tmp_path / "one-state.json"
+    path.write_text(json.dumps({
+        "states": ["s"], "kernel": [[1.0]], "dt": 1.0, "f": [-1.0], "g": [2.0],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("write", [lambda tmp: _write_walk(tmp, 14), _write_one_state],
+                         ids=["walk-14", "one-state"])
+def test_oracle_check_beyond_one_block_and_on_one_state(tmp_path, write):
+    # walk-14's middle size group, C(14, 7) = 3432 regions, spans several
+    # blocks; on one state only the stop-everywhere region exists, unsolved
+    out = str(tmp_path / "out")
+    assert run(["oracle-check", "--model", write(tmp_path), "--out", out]) == 0
+    rec = read_json(os.path.join(out, "oracle_check.json"))
+    assert rec["agree"] is True
+    assert rec["max_diff"] <= 1e-8
+
+
 def test_diagnose_poisson(tmp_path):
     model = write_chain_a(tmp_path)
     out = str(tmp_path / "out")

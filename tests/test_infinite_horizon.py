@@ -24,7 +24,7 @@ from ergostop import (
     stopping_time_bound,
     zero_potential,
 )
-from ergostop import infinite_horizon
+from ergostop import infinite_horizon, markov
 from ergostop.markov import residual_tol, surely_hits
 from ergostop.rewards import reward_vectors
 from ergostop.errors import (
@@ -34,7 +34,7 @@ from ergostop.errors import (
     NotIrreducible,
     TooManyStates,
 )
-from oracles import loop_ball_radius, reference_policy_iteration
+from oracles import full_system_region_values, loop_ball_radius, reference_policy_iteration
 
 
 def walk(n, g=None):
@@ -206,14 +206,60 @@ def test_oracle_block_size_does_not_change_the_result(monkeypatch):
 
 def test_oracle_shares_no_evaluation_code_with_the_solver(monkeypatch, chain_b,
                                                           chain_b_rewards):
-    ref = brute_force_region_oracle(chain_b, chain_b_rewards)
+    models = [(chain_b, chain_b_rewards), walk(12)]
+    refs = [brute_force_region_oracle(m, rw) for m, rw in models]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not call the solver's evaluation")
 
-    monkeypatch.setattr(infinite_horizon, "_policy_value", refuse)
-    monkeypatch.setattr(infinite_horizon, "surely_hits", refuse)
-    _same_oracle_result(brute_force_region_oracle(chain_b, chain_b_rewards), ref)
+    for name in ("_policy_value", "_certified_solve", "region_value", "surely_hits"):
+        monkeypatch.setattr(infinite_horizon, name, refuse)
+    monkeypatch.setattr(markov, "surely_hits", refuse)
+    for (m, rw), ref in zip(models, refs):
+        _same_oracle_result(brute_force_region_oracle(m, rw), ref)
+
+
+def test_oracle_state_cap_is_the_module_constant(monkeypatch, chain_b, chain_b_rewards):
+    monkeypatch.setattr(infinite_horizon, "ORACLE_MAX_STATES", 4)
+    with pytest.raises(TooManyStates, match="beyond 4"):
+        brute_force_region_oracle(chain_b, chain_b_rewards)
+
+
+def _assert_reduced_systems_match_the_full_system(m, rw):
+    """Each region's value on its continuation set agrees with the full-size
+    system within ``residual_tol``, and the oracle reads the same optimal
+    regions from either."""
+    run_dt = m.dt * rw.f
+    masks, values = infinite_horizon._region_values(m.kernel, m.dt, rw.f, rw.g)
+    ref_masks, ref_values = full_system_region_values(m.kernel, m.dt, rw.f, rw.g)
+    np.testing.assert_array_equal(masks, ref_masks)
+    np.testing.assert_array_equal(values[masks], np.broadcast_to(rw.g, masks.shape)[masks])
+    for mask, got, ref in zip(masks, values, ref_values):
+        assert np.max(np.abs(got - ref)) <= residual_tol(rw.g, run_dt, ref), mask
+    got = brute_force_region_oracle(m, rw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infinite_horizon, "_region_values", full_system_region_values)
+        ref = brute_force_region_oracle(m, rw)
+    np.testing.assert_array_equal(np.array(got.optimal_regions), np.array(ref.optimal_regions))
+    np.testing.assert_array_equal(got.minimal_time_region, ref.minimal_time_region)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.booleans())
+def test_reduced_region_systems_match_the_full_system(seed, n, banded):
+    rng = np.random.default_rng(seed)
+    m = _banded_walk(rng, n) if banded else random_chain(rng, n)
+    _assert_reduced_systems_match_the_full_system(m, random_rewards(m, rng, g_scale=6.0))
+
+
+def test_reduced_region_systems_match_the_full_system_on_the_bench_models(
+        chain_b, chain_b_rewards):
+    # rand-12 is drawn as the benchmark corpus draws it at workload seed 0
+    rng = np.random.default_rng([0, 0x5EED])
+    rand = random_chain(rng, 12)
+    for m, rw in ((chain_b, chain_b_rewards), walk(12), walk(14),
+                  (rand, random_rewards(rand, rng))):
+        _assert_reduced_systems_match_the_full_system(m, rw)
 
 
 def test_oracle_refuses_reducible_chains():

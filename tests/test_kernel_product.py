@@ -14,7 +14,7 @@ from ergostop import (
     tv_distance_curve,
 )
 from ergostop import finite_horizon
-from ergostop.markov import Distribution, Supports, kernel_product
+from ergostop.markov import Distribution, Supports, kernel_product, residual_tol
 from oracles import dense_taboo_sweep, dense_tv_curve
 
 
@@ -194,3 +194,19 @@ def test_gather_takes_empty_stacks():
     model = _gathering(_walk(30))
     assert kernel_product(model, np.zeros((0, 30)), True).shape == (0, 30)
     assert kernel_product(model, np.zeros((30, 0)), False).shape == (30, 0)
+
+
+def test_a_swept_column_keeps_its_bytes_in_a_stack_only_on_the_gather_path():
+    rng = np.random.default_rng(47)
+    for n, gather in ((128, True), (50, False)):
+        model = _walk(n)
+        assert model.supports.gather is gather
+        keep = rng.random((n, 25)) < 0.8
+        value = rng.random((n, 25))
+        stack = finite_horizon._taboo_sweep(model, keep, value, 40)
+        for j in range(25):
+            alone = finite_horizon._taboo_sweep(model, keep[:, [j]], value[:, [j]], 40)
+            if gather:
+                assert np.array_equal(alone[:, 0], stack[:, j])
+            else:
+                assert np.max(np.abs(alone[:, 0] - stack[:, j])) <= residual_tol(stack[:, j])

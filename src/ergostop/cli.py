@@ -53,7 +53,7 @@ from .infinite_horizon import (
 )
 from .markov import grid_steps, residual_tol, stationary_distribution
 from .modelio import load_model_file
-from .montecarlo import estimate_functional, terminal_truncation_gap
+from .montecarlo import check_region_hit, estimate_functional, terminal_truncation_gap
 from .report import emit_report, format_value
 from .rewards import make_rewards, reward_vectors
 
@@ -327,6 +327,7 @@ def _dispatch(args):
         region = _parse_indices(args.region, model)
         start = _parse_state(args.start, model, "--start")
         horizons = [float(h) for h in args.horizons.split(",")]
+        check_region_hit(model, region, start)  # before any path is sampled
         est = estimate_functional(
             model, rewards, region, start, horizons, args.paths, args.seed
         )

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoMixingDetected, NumericalFailure, SingularSystem
-from .finite_horizon import _taboo_sweep
 from .markov import (
     Distribution,
     MarkovModel,
@@ -30,6 +29,7 @@ from .markov import (
     region_mask,
     residual_tol,
     state_index,
+    taboo_sweep,
 )
 from .montecarlo import Z_THRESHOLD, estimate_functional
 from .rewards import RewardSpec
@@ -208,7 +208,7 @@ def stopped_potential_exact(
     region = region_mask(model, stop_region)
     start = state_index(model, start, "start")
     centred = model.dt * (fv - float(mu.weights @ fv))
-    v = _taboo_sweep(model, ~region[:, None], qv[:, None], cap_steps, centred[:, None])
+    v = taboo_sweep(model, ~region[:, None], qv[:, None], cap_steps, centred[:, None])
     return float(v[start, 0])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNesting
-from .markov import MarkovModel, kernel_product, region_mask, residual_tol
+from .markov import MarkovModel, region_mask, residual_tol, taboo_sweep
 from .rewards import RewardSpec
 
 
@@ -149,34 +149,6 @@ def check_supermartingale(
 
 # -- taboo sweeps: running maxima and the (B)-family -----------------------------
 
-def _taboo_sweep(
-    model: MarkovModel, keep: np.ndarray, value: np.ndarray, steps, run=None
-) -> np.ndarray:
-    """E^x[ sum_{k < T ^ sigma} run(X_k) + value(X_{T ^ sigma}) ], sigma the
-    first exit from the mask, for every start x and every column of the
-    (n, K) mask stack ``keep`` at once; ``run`` is an optional (n, K) stack
-    of running terms, zero by default.
-
-    ``value = keep`` gives the survival P^x{sigma > T}, ``value = ~keep`` the
-    exit probability P^x{sigma <= T}, each without cancellation. ``steps``
-    is one step count T, or an increasing grid of them, for which the stack
-    after each count comes back along a new first axis. This is the only
-    T-step taboo loop of the module; each step is one ``kernel_product`` of
-    the whole stack.
-    """
-    grid = np.atleast_1d(steps)
-    if grid.min(initial=0) < 0:
-        raise ValueError(f"step count must be >= 0, got {grid.min()}")
-    value = value.astype(float)
-    snaps = []
-    for more in np.diff(grid, prepend=0):
-        for _ in range(more):
-            step = kernel_product(model, value, forward=False)
-            value = np.where(keep, step if run is None else step + run, value)
-        snaps.append(value)
-    return np.stack(snaps) if np.ndim(steps) else value
-
-
 def _running_max_tail(model, m, steps, thresholds, weight=None) -> np.ndarray:
     """E^x[ weight(M_T) 1{M_T > c} ] for every start x (rows) and threshold c
     (columns), where M_T = max_{k <= T} m(X_k) and ``weight`` is given per
@@ -197,7 +169,7 @@ def _running_max_tail(model, m, steps, thresholds, weight=None) -> np.ndarray:
     below = m[:, None] <= levels[None, live]
     reach = np.zeros((len(m), len(levels)))
     reach[:, 0] = 1.0
-    reach[:, live + 1] = _taboo_sweep(model, below, ~below, steps)
+    reach[:, live + 1] = taboo_sweep(model, below, ~below, steps)
     return reach @ by_parts
 
 
@@ -227,7 +199,7 @@ def survival_probability(model: MarkovModel, inside, steps: int) -> np.ndarray:
     ``inside`` is U, as a boolean mask or as state indices.
     """
     keep = region_mask(model, inside)[:, None]
-    return _taboo_sweep(model, keep, keep, steps)[:, 0]
+    return taboo_sweep(model, keep, keep, steps)[:, 0]
 
 
 def _snell_sup(model: MarkovModel, payoff: np.ndarray, steps: int) -> np.ndarray:
@@ -281,7 +253,7 @@ def b_family_diagnostics(
 
     # first sufficiency sum: shell increments of survival times max |g|
     nested = np.stack(masks, axis=1)
-    gam = _taboo_sweep(model, nested, nested, horizon_steps)
+    gam = taboo_sweep(model, nested, nested, horizon_steps)
     inc = np.diff(gam[rows], axis=1, prepend=0.0).max(axis=0)
     b1_terms = np.maximum(inc, 0.0) * np.array([g_abs[m].max() for m in masks])
 
@@ -290,7 +262,7 @@ def b_family_diagnostics(
     b2_terms = np.array([])
     if shells:
         shell = np.stack(shells, axis=1)
-        hit = _taboo_sweep(model, ~shell, shell, horizon_steps)
+        hit = taboo_sweep(model, ~shell, shell, horizon_steps)
         b2_terms = np.array([g_abs[s].max() for s in shells]) * hit[rows].max(axis=0)
 
     # sup over bounded stopping times of truncated-terminal expectations

@@ -64,10 +64,6 @@ class MarkovModel:
     def n_states(self) -> int:
         return len(self.states)
 
-    def index(self, state) -> int:
-        """Index of a state identifier."""
-        return self.states.index(state)
-
     @functools.cached_property
     def structure(self) -> tuple[list[np.ndarray], int]:
         """``chain_structure`` of the kernel, computed once: the builders
@@ -84,11 +80,6 @@ class MarkovModel:
     def supports(self) -> Supports:
         """The kernel's ``Supports``, built once (each form on first use)."""
         return Supports(self.kernel)
-
-    @functools.cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sampler's ``support_tables``, from the cached successors."""
-        return support_tables(*self.supports.successors)
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,8 @@ def build_from_generator(states, generator_rows, dt: float, coords=None) -> Mark
 
     The kernel is the Poisson-weighted power series of the uniformized jump
     matrix J = I + G/rate, truncated once the remaining Poisson tail mass
-    falls below 1e-14.
+    falls below 1e-14. Past rate * dt = 700, near where exp(-rate * dt)
+    underflows, it runs over dt / 2^s instead and is squared s times.
     """
     gen = _validate_square(states, generator_rows, "generator")
     if not 0 < dt < math.inf:
@@ -170,7 +162,8 @@ def build_from_generator(states, generator_rows, dt: float, coords=None) -> Mark
         kernel = np.eye(n)
     else:
         jump = np.eye(n) + gen / rate
-        lam = rate * dt
+        squarings = max(0, math.ceil(math.log2(rate * dt / 700.0)))
+        lam = rate * dt / 2**squarings
         # iterate Poisson weights; budget generous beyond the mean
         budget = int(lam + 40.0 * math.sqrt(lam + 1.0) + 200)
         weight = math.exp(-lam)
@@ -183,7 +176,7 @@ def build_from_generator(states, generator_rows, dt: float, coords=None) -> Mark
             if k > budget:
                 raise SeriesNotConverged(
                     f"uniformization series not below tail {POISSON_TAIL_TOL} "
-                    f"after {budget} terms (rate*dt = {lam})"
+                    f"after {budget} terms (Poisson mean {lam})"
                 )
             term = term @ jump
             weight *= lam / k
@@ -191,6 +184,9 @@ def build_from_generator(states, generator_rows, dt: float, coords=None) -> Mark
             accum += weight
         kernel = np.maximum(kernel, 0.0)
         kernel /= kernel.sum(axis=1)[:, None]
+        for _ in range(squarings):
+            kernel = kernel @ kernel
+            kernel /= kernel.sum(axis=1)[:, None]
     kernel.setflags(write=False)
     return MarkovModel(
         states=tuple(states),
@@ -207,7 +203,7 @@ def _as_coords(coords, n: int) -> np.ndarray | None:
     c = np.atleast_2d(np.array(coords, dtype=float))
     if c.shape[0] == 1 and n > 1:
         c = c.T
-    if c.shape[0] != n:
+    if c.ndim > 2 or c.shape[0] != n:
         raise DimensionMismatch(f"coords must have one row per state, got {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("coords have an entry that is not finite")
@@ -350,11 +346,12 @@ class Supports:
     ``successors`` holds every state's nonzero successors and their
     probabilities, ``predecessors`` every state's nonzero predecessors and
     theirs, as ``_padded_support`` lays them out: entry [s, i] is slot s of
-    state i. ``gather`` is the density rule, decided here and nowhere
-    else, from the kernel alone: the stacked products of ``kernel_product``
-    gather over the supports when no row or column of the n x n kernel
-    holds more than n / ``GATHER_RATIO`` nonzeros, and multiply densely
-    otherwise.
+    state i; ``cumulative`` holds the sampler's running sums of the
+    successor probabilities. ``gather`` is the density rule, decided here
+    and nowhere else, from the kernel alone: the stacked products of
+    ``kernel_product`` gather over the supports when no row or column of
+    the n x n kernel holds more than n / ``GATHER_RATIO`` nonzeros, and
+    multiply densely otherwise.
     """
 
     def __init__(self, kernel: np.ndarray):
@@ -370,6 +367,10 @@ class Supports:
     @functools.cached_property
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
         return _padded_support(self.kernel.T)
+
+    @functools.cached_property
+    def cumulative(self) -> np.ndarray:
+        return np.cumsum(self.successors[1], axis=0)
 
 
 def kernel_product(model: MarkovModel, stack: np.ndarray, forward: bool) -> np.ndarray:
@@ -409,6 +410,34 @@ def kernel_product(model: MarkovModel, stack: np.ndarray, forward: bool) -> np.n
             term *= p[:, None]
             part += term
     return out
+
+
+def taboo_sweep(
+    model: MarkovModel, keep: np.ndarray, value: np.ndarray, steps, run=None
+) -> np.ndarray:
+    """E^x[ sum_{k < T ^ sigma} run(X_k) + value(X_{T ^ sigma}) ], sigma the
+    first exit from the mask, for every start x and every column of the
+    (n, K) mask stack ``keep`` at once; ``run`` is an optional (n, K) stack
+    of running terms, zero by default.
+
+    ``value = keep`` gives the survival P^x{sigma > T}, ``value = ~keep`` the
+    exit probability P^x{sigma <= T}, each without cancellation. ``steps``
+    is one step count T, or an increasing grid of them, for which the stack
+    after each count comes back along a new first axis. This is the only
+    T-step taboo loop of the package; each step is one ``kernel_product`` of
+    the whole stack.
+    """
+    grid = np.atleast_1d(steps)
+    if grid.min(initial=0) < 0:
+        raise ValueError(f"step count must be >= 0, got {grid.min()}")
+    value = value.astype(float)
+    snaps = []
+    for more in np.diff(grid, prepend=0):
+        for _ in range(more):
+            step = kernel_product(model, value, forward=False)
+            value = np.where(keep, step if run is None else step + run, value)
+        snaps.append(value)
+    return np.stack(snaps) if np.ndim(steps) else value
 
 
 def apply_transition(model: MarkovModel, values) -> np.ndarray:
@@ -528,22 +557,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ out >> 16
 
 
-def stream_keys(seed: int, path_ids, block: int) -> np.ndarray:
-    """Philox keys of the streams (seed, i, block), one row of two uint64
-    words per path id: the key that ``SeedSequence(entropy=(seed, i, block))``
-    seeds a Philox generator with, hashed and mixed over uint32 arrays, all
-    ids at once. Streams keyed by (seed, path, block) make parallel and
-    serial simulations produce identical paths.
+def stream_keys(seed: int, path_ids) -> np.ndarray:
+    """Philox keys of the streams (seed, i, 0), one row of two uint64 words
+    per path id: the key that ``SeedSequence(entropy=(seed, i, 0))`` seeds a
+    Philox generator with, hashed and mixed over uint32 arrays, all ids at
+    once. Streams keyed by (seed, path) make parallel and serial simulations
+    produce identical paths.
 
-    Seeds and blocks of any size keep SeedSequence's word layout; path ids
-    must lie in [0, 2**32), where each is one entropy word.
+    Seeds of any size keep SeedSequence's word layout; path ids must lie in
+    [0, 2**32), where each is one entropy word.
     """
     ids = np.asarray(path_ids)
     if ids.size and (ids.min() < 0 or ids.max() > _MASK32):
         raise ValueError("path ids must lie in [0, 2**32)")
     ids = ids.astype(np.uint32).ravel()
-    entropy = [*(np.full_like(ids, w) for w in _words(seed)), ids,
-               *(np.full_like(ids, w) for w in _words(block))]
+    entropy = [*(np.full_like(ids, w) for w in _words(seed)), ids, np.zeros_like(ids)]
     mixing = _hash_constants(_INIT_A, _MULT_A)
     # pool words past the entropy hash a zero word
     pool = [_hash(w, mixing) for w in (entropy + [np.zeros_like(ids)] * 4)[:4]]
@@ -623,37 +651,25 @@ def stream_uniforms(keys: np.ndarray, counters) -> np.ndarray:
     return u.reshape(len(keys), 4 * len(counters))
 
 
-def support_tables(succ: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sampler's (n, w) tables of the slot-by-slot successors ``succ``
-    and their probabilities ``prob``, as ``Supports.successors`` holds
-    them: the cumulative sums of each row's nonzero probabilities, whose
-    padding repeats the row total; and its successor states, one column
-    wider, padded with the row's last nonzero state.
-
-    A zero adds an exact 0.0 to a row's running sum, so comparing a uniform
-    against these cumulative sums picks the state that the full-row inverse
-    CDF picks.
+def support_step(sup: Supports, states, u) -> np.ndarray:
+    """Successors of ``states`` on the uniforms ``u``: the first support
+    state whose cumulative probability exceeds u, else the last slot, whose
+    padding repeats the row's last support state. A zero adds an exact 0.0
+    to a running sum, so this picks the state a full-row inverse CDF picks.
     """
-    cum = np.cumsum(prob, axis=0)
-    return (np.ascontiguousarray(cum.T),
-            np.ascontiguousarray(np.concatenate([succ, succ[-1:]]).T))
-
-
-def support_step(cum: np.ndarray, succ: np.ndarray, states, u) -> np.ndarray:
-    """Successors of ``states`` on the uniforms ``u``, by the tables of
-    ``support_tables``: the first support state whose cumulative probability
-    exceeds u, or the row's last support state when none does."""
-    return succ[states, (cum[states] <= u[:, None]).sum(axis=1)]
+    succ, _ = sup.successors
+    slot = (sup.cumulative[:, states] <= u).sum(axis=0)
+    return succ[np.minimum(slot, len(succ) - 1), states]
 
 
 def simulate_block(
-    model: MarkovModel, state: np.ndarray, seed: int, path_ids, block: int, steps: int, stop
+    model: MarkovModel, state: np.ndarray, seed: int, path_ids, steps: int, stop
 ):
     """Step the int64 array ``state`` in place; the one simulation engine.
 
-    Row r steps by the inverse CDF of its kernel row, over the row's nonzero
-    support, on the uniforms of the Philox stream keyed by
-    ``SeedSequence(entropy=(seed, path_ids[r], block))``, so any subset of
+    Row r steps by ``support_step`` over its kernel row's nonzero support,
+    on the uniforms of the Philox stream keyed by
+    ``SeedSequence(entropy=(seed, path_ids[r], 0))``, so any subset of
     rows comes out the same drawn alone. Rows in the boolean state mask
     ``stop`` stay put. A generator: it yields each k < ``steps`` before step
     k, while ``state`` holds the states after k steps and some row is live,
@@ -665,8 +681,7 @@ def simulate_block(
     costs twice the blocks it reads, and a draw holds at most 64 steps per
     row, however long the horizon.
     """
-    keys = stream_keys(seed, path_ids, block)
-    cum, succ = model.tables
+    keys = stream_keys(seed, path_ids)
     live = row = np.arange(len(keys))
     last = -(-steps // 4)   # the counter that holds the last step's uniform
     drawn = 0               # steps covered by the counters drawn so far
@@ -681,4 +696,4 @@ def simulate_block(
             end = min(2 * c - 1, c + _DRAW_CAP - 1, last)
             u = stream_uniforms(keys[live], np.arange(c, end + 1))
             row, first, drawn = np.arange(len(live)), k, 4 * end
-        state[live] = support_step(cum, succ, state[live], u[row, k - first])
+        state[live] = support_step(model.supports, state[live], u[row, k - first])

@@ -32,14 +32,17 @@ class ModelFile:
 
 
 def _numeric(value) -> bool:
-    """Whether a JSON value is a number or an array of numbers at any depth;
-    booleans, strings and null are not numbers."""
-    if not isinstance(value, list):
-        return type(value) in (int, float)
-    types = set(map(type, value))
-    return types <= {int, float} or (
-        types <= {int, float, list} and all(map(_numeric, value))
-    )
+    """Whether a JSON value is a number or an array of numbers at any depth,
+    searched without recursion; booleans, strings and null are not numbers."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        types = set(map(type, value)) if isinstance(value, list) else {type(value)}
+        if not types <= {int, float, list}:
+            return False
+        if list in types:
+            stack += [v for v in value if isinstance(v, list)]
+    return True
 
 
 def load_model_file(path, dt_override: float | None = None) -> ModelFile:
@@ -56,6 +59,8 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: arrays nest too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
 

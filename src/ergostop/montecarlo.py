@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableRegion
-from .finite_horizon import _taboo_sweep
 from .infinite_horizon import region_value
 from .markov import (
     MarkovModel,
@@ -33,6 +32,8 @@ from .markov import (
     residual_tol,
     simulate_block,
     state_index,
+    surely_hits,
+    taboo_sweep,
 )
 from .rewards import RewardSpec
 
@@ -122,6 +123,15 @@ def _trend_verdict(estimates: np.ndarray, ses: np.ndarray) -> str:
     return VERDICT_PASS
 
 
+def check_region_hit(model: MarkovModel, region, start: int) -> None:
+    """Refuse (UnreachableRegion) a region missed with positive probability
+    from ``start``, where ``region_value`` is -inf, by one graph search."""
+    mask = region_mask(model, region)
+    if not surely_hits(model.kernel, mask)[state_index(model, start, "start")]:
+        raise UnreachableRegion("region is missed with positive probability from start; "
+                                "the hitting time is not integrable")
+
+
 def terminal_truncation_gap(
     model: MarkovModel,
     rewards: RewardSpec,
@@ -149,12 +159,8 @@ def terminal_truncation_gap(
     gm, gaps = np.zeros((2, len(steps)))
     ok = True
     if not mask[start]:   # from inside the region tau = 0: both are 0 exactly
+        check_region_hit(model, mask, start)
         value = region_value(model, rewards, mask)
-        if value[start] == -np.inf:
-            raise UnreachableRegion(
-                "region is missed with positive probability from start; "
-                "the hitting time is not integrable"
-            )
         # terms off the region count exactly on {tau > T}; v is finite wherever
         # the start can be before tau, so the other states' terms are never read
         off = ~mask & np.isfinite(value)
@@ -162,7 +168,7 @@ def terminal_truncation_gap(
             np.where(off, rewards.g - value, 0.0),
             np.where(mask, 0.0, np.maximum(-rewards.g, 0.0)),
         ])
-        sweep = _taboo_sweep(model, ~mask[:, None], terminal, steps)[:, start]
+        sweep = taboo_sweep(model, ~mask[:, None], terminal, steps)[:, start]
         gaps, gm = np.abs(sweep[:, 0]), sweep[:, 1]
         noise = Z_THRESHOLD * se[-1]
         ok = bool(
@@ -186,9 +192,9 @@ def _sample_hitting_rule(
     seed: int,
     checkpoints,
 ):
-    """Run paths from ``start`` on their block-0 streams (seed, path id, 0)
-    for up to the last checkpoint's steps, each stopping on entering
-    ``mask`` and adding dt f(X_k) for k < tau in order, then exact zeros.
+    """Run paths from ``start`` through ``simulate_block`` for up to the
+    last checkpoint's steps, each stopping on entering ``mask`` and adding
+    dt f(X_k) for k < tau in order, then exact zeros.
     Returns, per checkpoint T, the states and accrued rewards after T steps
     (the end ones once T passes the steps taken).
     """
@@ -201,7 +207,7 @@ def _sample_hitting_rule(
     snaps = dict.fromkeys(checkpoints)
     if not mask[start]:
         ids = np.arange(n_paths)
-        for k in simulate_block(model, state, seed, ids, 0, checkpoints[-1], stop=mask):
+        for k in simulate_block(model, state, seed, ids, checkpoints[-1], stop=mask):
             if k in snaps:
                 snaps[k] = state.copy(), accrued.copy()
             accrued += run[state]

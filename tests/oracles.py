@@ -5,7 +5,7 @@ solver's rounds, sharing its tolerance so that the two agree bit for bit. So
 is ``argmax_functional``, the whole-path readout of the Monte Carlo samples,
 kept as the reference for ``montecarlo._sample_hitting_rule``. So are
 ``dense_tv_curve`` and ``dense_taboo_sweep``, the dense ``@`` loops that
-``markov.kernel_product`` replaced in the TV curve and the taboo sweep. So
+``markov.kernel_product`` replaced in the TV curve and ``markov.taboo_sweep``. So
 is ``full_system_region_values``, the full-size batched formulation that the
 region oracle's reduced continuation-set systems replaced.
 ``simulate_table`` is no oracle at all: it collects the state table of
@@ -19,12 +19,12 @@ import numpy as np
 from ergostop.markov import residual_tol, simulate_block, surely_hits
 
 
-def path_stream(seed: int, path_index: int, block: int = 0) -> np.random.Generator:
-    """The per-path random stream (seed, path, block) built on its own: a
-    Philox generator seeded by ``SeedSequence(entropy=(seed, path, block))``,
-    the reference for ``stream_keys`` and ``stream_uniforms``."""
+def path_stream(seed: int, path_index: int) -> np.random.Generator:
+    """The per-path random stream (seed, path, 0) built on its own: a Philox
+    generator seeded by ``SeedSequence(entropy=(seed, path, 0))``, the
+    reference for ``stream_keys`` and ``stream_uniforms``."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(seed, path_index, block)))
+        np.random.Philox(np.random.SeedSequence(entropy=(seed, path_index, 0)))
     )
 
 
@@ -77,7 +77,7 @@ def dense_tv_curve(kernel, mu_weights, probes, steps):
 def dense_taboo_sweep(kernel, keep, value, steps):
     """E^x[ value(X_{T ^ sigma}) ] for each column of the mask stack
     ``keep`` by a loop of dense ``kernel @ value`` products: the reference
-    for ``finite_horizon._taboo_sweep``."""
+    for ``markov.taboo_sweep``."""
     value = value.astype(float)
     for _ in range(steps):
         value = np.where(keep, kernel @ value, value)
@@ -275,7 +275,7 @@ def row_csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def simulate_table(model, states, seed, path_ids, block, steps, stop):
+def simulate_table(model, states, seed, path_ids, steps, stop):
     """The (len(path_ids), steps + 1) state table of ``simulate_block``,
     ``states`` first, collected from its in-place steps: column k is the
     state array at the yield of k, and the columns after the engine returns
@@ -283,23 +283,23 @@ def simulate_table(model, states, seed, path_ids, block, steps, stop):
     state = np.array(states, dtype=np.int64)
     paths = np.empty((len(state), steps + 1), dtype=np.int64)
     filled = 0
-    for k in simulate_block(model, state, seed, path_ids, block, steps, stop):
+    for k in simulate_block(model, state, seed, path_ids, steps, stop):
         paths[:, k] = state
         filled = k + 1
     paths[:, filled:] = state[:, None]
     return paths
 
 
-def loop_simulate_block(model, states, seed, path_ids, block, steps, stop):
+def loop_simulate_block(model, states, seed, path_ids, steps, stop):
     """Paths stepped on one generator built per row and a full-row inverse-CDF
-    scan: row r draws ``path_stream(seed, path_ids[r], block).random(steps)``
+    scan: row r draws ``path_stream(seed, path_ids[r]).random(steps)``
     and moves to the number of kernel-row CDF entries at or below its uniform,
     clamped at n - 1. Rows in the boolean state mask ``stop`` stay put."""
     n = model.n_states
     cdf = np.cumsum(model.kernel, axis=1)
     u = np.empty((len(path_ids), steps))
     for r, i in enumerate(np.asarray(path_ids).tolist()):
-        u[r] = path_stream(seed, i, block).random(steps)
+        u[r] = path_stream(seed, i).random(steps)
     paths = np.empty((len(path_ids), steps + 1), dtype=np.int64)
     state = np.array(states, dtype=np.int64)
     paths[:, 0] = state
@@ -350,12 +350,12 @@ def mean_se(samples):
 
 def argmax_functional(model, rewards, mask, start, steps, n_paths, seed):
     """Capped-functional estimates and standard errors read from whole paths:
-    every path steps ``max(steps)`` times on its block-0 stream, tau is the
+    every path steps ``max(steps)`` times on its stream, tau is the
     first column of the hit table (argmax), and a float table of running sums
     dt f(X_0) + ... is read at min(tau, T) for each T in ``steps``."""
     max_steps = int(steps[-1])
     paths = loop_simulate_block(
-        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, max_steps, stop=mask
+        model, np.full(n_paths, start), seed, np.arange(n_paths), max_steps, stop=mask
     )
     hit = mask[paths]
     tau = np.where(hit.any(axis=1), hit.argmax(axis=1), max_steps + 1)

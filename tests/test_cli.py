@@ -16,7 +16,7 @@ from conftest import (
     CHAIN_B_KERNEL,
     chain_b_generator_rows,
 )
-from ergostop import build_dtmc, cli, ergodicity, infinite_horizon, markov
+from ergostop import build_dtmc, cli, ergodicity, infinite_horizon, markov, montecarlo
 from ergostop.cli import run
 from ergostop.errors import ParseError
 from ergostop.modelio import load_model_file
@@ -123,6 +123,35 @@ def test_load_model_file_refuses_non_numbers_in_numeric_fields(tmp_path, capsys,
         load_model_file(str(path))
     out = str(tmp_path / "out")
     assert run(["solve-infinite", "--model", str(path), "--out", out]) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "depth, message",
+    [(600, "dimension"), (100_000, "arrays nest too deeply")],
+    ids=["numeric-check", "json-load"],
+)
+def test_deeply_nested_arrays_are_refused(tmp_path, capsys, depth, message):
+    # json.load raises RecursionError on the deeper; the shallower passes it
+    # and the numeric check, and numpy refuses its 600 dimensions
+    path = tmp_path / "deep.json"
+    path.write_text('{"states": ["0", "1"], "dt": 1.0, "kernel": '
+                    + "[" * depth + "]" * depth + "}")
+    with pytest.raises(ParseError, match=message):
+        load_model_file(str(path))
+    assert run(["solve-infinite", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_coords_with_more_than_two_dimensions_are_refused(tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1"], "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+        "coords": [[[0.0]], [[1.0]]], "f": list(CHAIN_A_F), "g": list(CHAIN_A_G),
+    }))
+    with pytest.raises(ParseError, match="coords"):
+        load_model_file(str(path))
+    assert run(["compactify", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "ParseError" in capsys.readouterr().err
 
 
@@ -357,6 +386,29 @@ def test_out_of_memory_exit_1(tmp_path, monkeypatch, capsys, module, argv):
     assert run([*argv, "--model", write_chain_a(tmp_path), "--out", out]) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 37.3 GiB for an array\n"
+
+
+def test_simulate_refuses_an_unreachable_region_before_sampling(tmp_path, monkeypatch):
+    # two closed pairs: from state 0 the chain never reaches state 2
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1", "2", "3"], "dt": 1.0,
+        "kernel": [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+        "f": [-1.0, -1.0, -1.0, -1.0], "g": [0.0, 0.0, 1.0, 0.0],
+    }))
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("paths sampled for an unreachable region")
+
+    monkeypatch.setattr(montecarlo, "simulate_block", sampled)
+    out = str(tmp_path / "out")
+    assert run(["simulate", "--model", str(path), "--region", "2", "--start", "0",
+                "--horizons", "1000,200000", "--paths", "2000", "--out", out]) == 2
+    verdict = read_json(os.path.join(out, "verdict.json"))
+    assert verdict["verdict"] == "UnreachableRegion"
+    assert verdict["message"] == ("region is missed with positive probability from start; "
+                                  "the hitting time is not integrable")
+    assert not os.path.exists(os.path.join(out, "estimates.csv"))
 
 
 def test_dt_override_conflicts_with_kernel_model(tmp_path):

@@ -14,7 +14,13 @@ from ergostop import (
     tv_distance_curve,
 )
 from ergostop import finite_horizon
-from ergostop.markov import Distribution, Supports, kernel_product, residual_tol
+from ergostop.markov import (
+    Distribution,
+    Supports,
+    kernel_product,
+    residual_tol,
+    taboo_sweep,
+)
 from oracles import dense_taboo_sweep, dense_tv_curve
 
 
@@ -126,7 +132,7 @@ def test_dense_path_is_byte_identical_to_the_dense_loops():
         got = tv_distance_curve(model, mu, probes, 9 * model.dt).tv
         assert np.array_equal(got, dense_tv_curve(model.kernel, mu.weights, probes, 9))
         keep = rng.random((model.n_states, 3)) < 0.6
-        assert np.array_equal(finite_horizon._taboo_sweep(model, keep, ~keep, 9),
+        assert np.array_equal(taboo_sweep(model, keep, ~keep, 9),
                               dense_taboo_sweep(model.kernel, keep, ~keep, 9))
 
 
@@ -142,7 +148,7 @@ def test_gathered_tv_curve_and_taboo_sweep_match_the_dense_loops():
         np.testing.assert_allclose(got, dense_tv_curve(model.kernel, mu.weights, probes, 12),
                                    rtol=0, atol=1e-14)
         keep = rng.random((n, 4)) < 0.7
-        np.testing.assert_allclose(finite_horizon._taboo_sweep(model, keep, ~keep, 12),
+        np.testing.assert_allclose(taboo_sweep(model, keep, ~keep, 12),
                                    dense_taboo_sweep(model.kernel, keep, ~keep, 12),
                                    rtol=1e-14, atol=1e-300)
 
@@ -157,7 +163,7 @@ def test_walk_1000_gap_bound_and_tv_curve_match_the_dense_sweeps(monkeypatch):
     g = np.round(20.0 * np.sin(x / 7.0)) / 4.0
     rewards = make_rewards(model, np.where(x < n // 2, -1.2, 0.3), g)
     gap = truncation_gap_bound(model, rewards, 128, 2.0)
-    monkeypatch.setattr(finite_horizon, "_taboo_sweep", lambda model, keep, value, steps:
+    monkeypatch.setattr(finite_horizon, "taboo_sweep", lambda model, keep, value, steps:
                         dense_taboo_sweep(model.kernel, keep, value, steps))
     np.testing.assert_allclose(gap, truncation_gap_bound(model, rewards, 128, 2.0),
                                rtol=1e-14, atol=0)
@@ -203,9 +209,9 @@ def test_a_swept_column_keeps_its_bytes_in_a_stack_only_on_the_gather_path():
         assert model.supports.gather is gather
         keep = rng.random((n, 25)) < 0.8
         value = rng.random((n, 25))
-        stack = finite_horizon._taboo_sweep(model, keep, value, 40)
+        stack = taboo_sweep(model, keep, value, 40)
         for j in range(25):
-            alone = finite_horizon._taboo_sweep(model, keep[:, [j]], value[:, [j]], 40)
+            alone = taboo_sweep(model, keep[:, [j]], value[:, [j]], 40)
             if gather:
                 assert np.array_equal(alone[:, 0], stack[:, j])
             else:

@@ -98,10 +98,21 @@ def test_builders_refuse_non_finite_entries_dt_and_coords(build, message):
     ids=["dtmc", "generator"],
 )
 def test_built_kernel_is_read_only(build):
-    # the model caches its graph structure and sampler tables from the kernel
+    # the model caches its graph structure and supports from the kernel
     model = build()
     with pytest.raises(ValueError, match="read-only"):
         model.kernel[0, 0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(build_dtmc, [0, 1], CHAIN_A_KERNEL),
+     partial(build_from_generator, [0, 1], [[-1, 1], [1, -1]], 0.5)],
+    ids=["dtmc", "generator"],
+)
+def test_builders_refuse_coords_with_more_than_two_dimensions(build):
+    with pytest.raises(DimensionMismatch, match="coords"):
+        build(coords=[[[0.0]], [[1.0]]])
 
 
 def test_build_dtmc_rejects_empty():
@@ -130,6 +141,23 @@ def test_generator_two_state_closed_form():
 def test_zero_generator_gives_identity():
     m = build_from_generator([0, 1, 2], np.zeros((3, 3)), dt=2.5)
     np.testing.assert_allclose(m.kernel, np.eye(3), atol=0)
+
+
+def test_generator_past_the_poisson_underflow_is_the_stationary_law():
+    # rate * dt = 746: exp(-746) underflows to 0.0, so one series cannot start
+    m = build_from_generator([0, 1], np.array([[-1, 1], [2, -2]]) * 373, dt=1.0)
+    np.testing.assert_allclose(m.kernel.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(m.kernel, [[2 / 3, 1 / 3]] * 2, rtol=0, atol=1e-12)
+
+
+def test_generator_past_a_poisson_mean_of_700_squares_the_half_step_kernel():
+    # a slow mode keeps the rate * dt = 1400 kernel away from its limit
+    gen = [[-1400.0, 1400.0, 0.0], [1.0, -1.002, 0.002], [0.0, 0.001, -0.001]]
+    half = build_from_generator(range(3), gen, dt=0.5).kernel
+    square = half @ half
+    square /= square.sum(axis=1)[:, None]
+    np.testing.assert_array_equal(build_from_generator(range(3), gen, dt=1.0).kernel, square)
+    assert square[2, 2] - square[0, 2] > 0.9   # rows far from the stationary law
 
 
 def test_generator_validation():
@@ -318,38 +346,38 @@ def test_malformed_regions_raise_dimension_mismatch(request, chain, call):
         call(model, rewards)
 
 
-def block_zero(model, start, steps, n_paths, seed):
-    """Paths 0..n_paths - 1 from ``start`` on stream block 0, never stopped."""
+def free_paths(model, start, steps, n_paths, seed):
+    """Paths 0..n_paths - 1 from ``start``, never stopped."""
     never = np.zeros(model.n_states, dtype=bool)
     return simulate_table(
-        model, np.full(n_paths, start), seed, np.arange(n_paths), 0, steps, never
+        model, np.full(n_paths, start), seed, np.arange(n_paths), steps, never
     )
 
 
 def test_simulate_identity_kernel_constant_paths():
     m = build_dtmc([0, 1], np.eye(2))
-    paths = block_zero(m, start=1, steps=5, n_paths=10, seed=3)
+    paths = free_paths(m, start=1, steps=5, n_paths=10, seed=3)
     assert paths.shape == (10, 6) and (paths == 1).all()
 
 
 def test_simulate_one_step_frequency(chain_a):
     n_paths = 100_000
-    paths = block_zero(chain_a, start=0, steps=1, n_paths=n_paths, seed=42)
+    paths = free_paths(chain_a, start=0, steps=1, n_paths=n_paths, seed=42)
     frac = paths[:, 1].mean()
     se = math.sqrt(0.4 * 0.6 / n_paths)
     assert abs(frac - 0.4) <= 3 * se
 
 
 def test_simulate_seed_reproducibility(chain_a):
-    a = block_zero(chain_a, 0, 20, 500, seed=9)
-    b = block_zero(chain_a, 0, 20, 500, seed=9)
-    c = block_zero(chain_a, 0, 20, 500, seed=10)
+    a = free_paths(chain_a, 0, 20, 500, seed=9)
+    b = free_paths(chain_a, 0, 20, 500, seed=9)
+    c = free_paths(chain_a, 0, 20, 500, seed=10)
     assert (a == b).all()
     assert (a != c).any()
 
 
 def test_simulate_transitions_have_positive_probability(chain_b):
-    paths = block_zero(chain_b, 2, 50, 200, seed=1)
+    paths = free_paths(chain_b, 2, 50, 200, seed=1)
     probs = chain_b.kernel[paths[:, :-1], paths[:, 1:]]
     assert (probs > 0).all()
 
@@ -361,15 +389,15 @@ def test_simulate_block_is_splittable_by_path_id(chain_b):
     never = np.zeros(5, dtype=bool)
     stop = np.array([True, False, False, False, False])
     for mask in (never, stop):
-        full = simulate_table(chain_b, states, 7, ids, 3, 70, stop=mask)
-        alone = simulate_table(chain_b, states[part], 7, part, 3, 70, stop=mask)
+        full = simulate_table(chain_b, states, 7, ids, 70, stop=mask)
+        alone = simulate_table(chain_b, states[part], 7, part, 70, stop=mask)
         np.testing.assert_array_equal(alone, full[part])
     # the last pass used the stop mask: a row that enters it stays there
     entered = np.logical_or.accumulate(stop[full], axis=1)
     assert entered[:, -1].any() and (full[entered] == 0).all()
-    paths = block_zero(chain_b, 2, 40, 12, seed=9)
+    paths = free_paths(chain_b, 2, 40, 12, seed=9)
     for i in range(12):
-        drawn_alone = simulate_table(chain_b, [2], 9, [i], 0, 40, never)
+        drawn_alone = simulate_table(chain_b, [2], 9, [i], 40, never)
         np.testing.assert_array_equal(drawn_alone[0], paths[i])
 
 
@@ -377,32 +405,31 @@ def test_simulate_block_is_splittable_by_path_id(chain_b):
 def test_path_uniforms_are_the_path_streams_bit_for_bit(seed):
     # the uniforms a path steps on: Philox blocks of its stream, from counter 1
     ids = [0, 1, 5, 2**31, 2**32 - 1]
-    for block in range(4):
-        keys = stream_keys(seed, ids, block)
-        for steps in (0, 1, 3, 4, 5, 64, 257):
-            u = stream_uniforms(keys, np.arange(1, -(-steps // 4) + 1))[:, :steps]
-            assert u.shape == (len(ids), steps)
-            for r, i in enumerate(ids):
-                expected = path_stream(seed, i, block).random(steps)
-                np.testing.assert_array_equal(u[r].view(np.uint64), expected.view(np.uint64))
-        # counters that start mid-stream
-        for counters in ([2, 3], [5, 6, 7, 8], [9]):
-            u = stream_uniforms(keys, counters)
-            assert u.shape == (len(ids), 4 * len(counters))
-            for r, i in enumerate(ids):
-                expected = path_stream(seed, i, block).random(4 * counters[-1])
-                np.testing.assert_array_equal(u[r], expected[4 * (counters[0] - 1):])
-        assert stream_uniforms(stream_keys(seed, [], block), [1, 2]).shape == (0, 8)
+    keys = stream_keys(seed, ids)
+    for steps in (0, 1, 3, 4, 5, 64, 257):
+        u = stream_uniforms(keys, np.arange(1, -(-steps // 4) + 1))[:, :steps]
+        assert u.shape == (len(ids), steps)
+        for r, i in enumerate(ids):
+            expected = path_stream(seed, i).random(steps)
+            np.testing.assert_array_equal(u[r].view(np.uint64), expected.view(np.uint64))
+    # counters that start mid-stream
+    for counters in ([2, 3], [5, 6, 7, 8], [9]):
+        u = stream_uniforms(keys, counters)
+        assert u.shape == (len(ids), 4 * len(counters))
+        for r, i in enumerate(ids):
+            expected = path_stream(seed, i).random(4 * counters[-1])
+            np.testing.assert_array_equal(u[r], expected[4 * (counters[0] - 1):])
+    assert stream_uniforms(stream_keys(seed, []), [1, 2]).shape == (0, 8)
 
 
 @pytest.mark.parametrize(
-    "seed, ids, block",
-    [(-1, [0], 0), (3, [-1], 0), (3, [2**32], 0), (3, [0, 2**40], 0), (3, [0], -2)],
-    ids=["negative-seed", "negative-id", "id-2^32", "id-2^40", "negative-block"],
+    "seed, ids",
+    [(-1, [0]), (3, [-1]), (3, [2**32]), (3, [0, 2**40])],
+    ids=["negative-seed", "negative-id", "id-2^32", "id-2^40"],
 )
-def test_path_uniforms_reject_keys_outside_the_domain(seed, ids, block):
+def test_path_uniforms_reject_keys_outside_the_domain(seed, ids):
     with pytest.raises(ValueError):
-        stream_keys(seed, ids, block)
+        stream_keys(seed, ids)
 
 
 @pytest.fixture
@@ -420,7 +447,7 @@ def counted_blocks(monkeypatch):
 
 def test_rows_that_start_stopped_draw_nothing(chain_a, counted_blocks):
     stop = np.array([False, True])
-    paths = simulate_table(chain_a, np.ones(500, dtype=int), 4, np.arange(500), 0, 64, stop)
+    paths = simulate_table(chain_a, np.ones(500, dtype=int), 4, np.arange(500), 64, stop)
     assert (paths == 1).all() and counted_blocks[0] == 0
     # the simulate command from a stop state
     rewards = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G)
@@ -431,7 +458,7 @@ def test_rows_that_start_stopped_draw_nothing(chain_a, counted_blocks):
 def test_rows_draw_blocks_only_while_live(chain_a, counted_blocks):
     rows, steps = 20000, 64
     stop = np.array([False, True])
-    paths = simulate_table(chain_a, np.zeros(rows, dtype=int), 3, np.arange(rows), 0, steps, stop)
+    paths = simulate_table(chain_a, np.zeros(rows, dtype=int), 3, np.arange(rows), steps, stop)
     # a row reads the uniforms of the steps it takes before it stops
     taken = np.where(stop[paths].any(axis=1), stop[paths].argmax(axis=1), steps)
     read = int((-(-taken // 4)).sum())
@@ -442,14 +469,14 @@ def test_rows_draw_blocks_only_while_live(chain_a, counted_blocks):
 def test_engine_returns_once_no_row_is_live(chain_a):
     stop = np.array([False, True])
     state = np.ones(50, dtype=np.int64)
-    assert list(simulate_block(chain_a, state, 4, np.arange(50), 0, 64, stop)) == []
+    assert list(simulate_block(chain_a, state, 4, np.arange(50), 64, stop)) == []
     for steps, early in ((400, True), (5, False)):
         ids = np.arange(300)
-        ref = loop_simulate_block(chain_a, np.zeros(300), 3, ids, 0, steps, stop)
+        ref = loop_simulate_block(chain_a, np.zeros(300), 3, ids, steps, stop)
         # the step at which the last row enters stop, or all steps
         t = int(stop[ref].argmax(axis=1).max()) if stop[ref[:, -1]].all() else steps
         state = np.zeros(300, dtype=np.int64)
-        ks = list(simulate_block(chain_a, state, 3, ids, 0, steps, stop))
+        ks = list(simulate_block(chain_a, state, 3, ids, steps, stop))
         assert ks == list(range(t)) and (state == ref[:, -1]).all()
         assert (t < steps) == early
 
@@ -464,8 +491,7 @@ def test_support_step_never_lands_on_a_zero_probability_state():
             break
     u = np.nextafter(1.0, 0.0)
     assert np.cumsum(model.kernel[0])[-1] <= u
-    cum, succ = model.tables
-    assert support_step(cum, succ, np.array([0]), np.array([u])).tolist() == [2]
+    assert support_step(model.supports, np.array([0]), np.array([u])).tolist() == [2]
     # the full-row scan clamps at n - 1, a state row 0 cannot reach
     assert model.kernel[0, 3] == 0.0
     assert min(int((np.cumsum(model.kernel[0]) <= u).sum()), 3) == 3
@@ -495,9 +521,9 @@ def test_simulate_block_matches_loop_reference():
         ids = rng.choice(2**32, size=rows, replace=False)
         stop = rng.random(n) < rng.random() if rng.random() < 0.5 else np.zeros(n, dtype=bool)
         seed = int(rng.integers(0, 2**62))
-        block, steps = int(rng.integers(0, 4)), int(rng.integers(0, 140))
-        got = simulate_table(model, states, seed, ids, block, steps, stop=stop)
-        ref = loop_simulate_block(model, states, seed, ids, block, steps, stop=stop)
+        steps = int(rng.integers(0, 140))
+        got = simulate_table(model, states, seed, ids, steps, stop=stop)
+        ref = loop_simulate_block(model, states, seed, ids, steps, stop=stop)
         assert got.shape == ref.shape
         # rows may differ only from a step where the reference's n - 1 clamp
         # moved to a state of zero probability

@@ -51,11 +51,11 @@ from .infinite_horizon import (
     solve_infinite_horizon,
     stopping_rule_eps,
 )
-from .markov import grid_steps, residual_tol, stationary_distribution
+from .markov import grid_steps, residual_tol
 from .modelio import load_model_file
 from .montecarlo import check_region_hit, estimate_functional, terminal_truncation_gap
 from .report import emit_report, format_value
-from .rewards import make_rewards, reward_vectors
+from .rewards import make_rewards
 
 
 @dataclass
@@ -252,7 +252,7 @@ def _dispatch(args):
     names = np.array(model.states, dtype=object)  # not coerced: mixed names keep types
     if args.command == "solve":
         _require_rewards(mf)
-        rewards = reward_vectors(model, mf.f, mf.g)
+        rewards = make_rewards(model, mf.f, mf.g)
         try:
             steps = int(grid_steps(args.horizon, model.dt))
         except ValueError as exc:
@@ -323,7 +323,7 @@ def _dispatch(args):
 
     if args.command == "simulate":
         _require_rewards(mf)
-        rewards = reward_vectors(model, mf.f, mf.g)
+        rewards = make_rewards(model, mf.f, mf.g)
         region = _parse_indices(args.region, model)
         start = _parse_state(args.start, model, "--start")
         horizons = [float(h) for h in args.horizons.split(",")]
@@ -350,9 +350,9 @@ def _dispatch(args):
 
     if args.command == "compactify":
         _require_rewards(mf, need_g=False)
-        mu = stationary_distribution(model)
+        mu = model.invariant  # a chain without a unique law is refused first
         center = _parse_state(args.center, model, "--center")
-        comp = compactify_running_reward(model, mf.f, mu, center=center)
+        comp = compactify_running_reward(model, mf.f, center=center)
         columns = (names, mf.f, comp.z, comp.f_hat, comp.f_bar)
         record = {
             "N": comp.N,
@@ -368,10 +368,10 @@ def _dispatch(args):
 
 def _diagnose(args, mf, names):
     model = mf.model
-    mu = stationary_distribution(model)
+    model.invariant  # a chain without a unique law is refused before any check
     if args.check == "poisson":
         _require_rewards(mf, need_g=False)
-        zp = zero_potential(model, mf.f, mu)
+        zp = zero_potential(model, mf.f)
         record = {"residual": zp.residual, "centred": zp.centred}
         return {"zero_potential": (("state", "q"), (names, zp.q)),
                 "poisson": record}, None
@@ -385,7 +385,7 @@ def _diagnose(args, mf, names):
             raise ParseError(f"--probe names a state more than once: {args.probe!r}")
         max_time = args.max_time if args.max_time is not None else 32 * model.dt
         profile = fit_ergodic_bound(
-            tv_distance_curve(model, mu, probes, max_time)
+            tv_distance_curve(model, probes, max_time)
         )
         columns = (np.repeat(names[probes], len(profile.times)),
                    np.tile(profile.times, len(probes)), profile.tv.ravel())
@@ -402,9 +402,9 @@ def _diagnose(args, mf, names):
             raise ConflictingFlags("--check dynkin needs --region")
         region = _parse_indices(args.region, model)
         start = _parse_state(args.start, model, "--start")
-        zp = zero_potential(model, mf.f, mu)
+        zp = zero_potential(model, mf.f)
         rep = verify_dynkin_identity(
-            model, zp, mf.f, mu, region, args.cap, start, args.paths, args.seed
+            model, zp, mf.f, region, args.cap, start, args.paths, args.seed
         )
         return {"dynkin": {
             "estimate": rep.estimate,

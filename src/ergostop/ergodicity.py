@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import NoMixingDetected, NumericalFailure, SingularSystem
 from .markov import (
-    Distribution,
     MarkovModel,
     grid_steps,
     kernel_product,
@@ -82,10 +81,9 @@ class DynkinReport:
     verdict: str        # "PASS" | "FAIL"
 
 
-def tv_distance_curve(
-    model: MarkovModel, mu: Distribution, probe_states, max_time: float
-) -> ErgodicProfile:
-    """Exact TV distances ||P_t(x, .) - mu|| at grid times t = dt, ..., max_time.
+def tv_distance_curve(model: MarkovModel, probe_states, max_time: float) -> ErgodicProfile:
+    """Exact TV distances ||P_t(x, .) - mu|| at grid times t = dt, ..., max_time,
+    mu the model's invariant law.
 
     Computed by pushing each probe's law forward one ``kernel_product`` at a
     time, no sampling. No monotonicity is asserted: TV curves of
@@ -100,10 +98,11 @@ def tv_distance_curve(
         raise ValueError("probe_states must name at least one state")
     rows = np.zeros((len(probes), model.n_states))
     rows[np.arange(len(probes)), probes] = 1.0
+    mu = model.invariant.weights
     tv = np.empty((len(probes), steps))
     for k in range(steps):
         rows = kernel_product(model, rows, forward=True)
-        gap = rows - mu.weights[None, :]
+        gap = rows - mu[None, :]
         tv[:, k] = np.abs(gap, out=gap).sum(axis=1)
         del gap   # free before the next product
     times = model.dt * np.arange(1, steps + 1)
@@ -155,7 +154,7 @@ def fit_ergodic_bound(profile: ErgodicProfile) -> ErgodicProfile:
     )
 
 
-def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
+def zero_potential(model: MarkovModel, f) -> ZeroPotential:
     """Solve the Poisson equation for the centred zero-potential of f.
 
     The kernel of (I - P) is one-dimensional on an irreducible chain, so the
@@ -173,19 +172,19 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
     if period != 1:
         raise SingularSystem(f"chain has period {period}; defining series diverges")
     n = model.n_states
-    mu_f = float(mu.weights @ fv)
-    rhs = model.dt * (fv - mu_f)
+    mu = model.invariant.weights
+    rhs = model.dt * (fv - float(mu @ fv))
     # bordered system pins mu(q) = 0 exactly
     A = np.zeros((n + 1, n + 1))
     A[:n, :n] = np.eye(n) - model.kernel
     A[:n, n] = 1.0
-    A[n, :n] = mu.weights
+    A[n, :n] = mu
     b = np.concatenate([rhs, [0.0]])
     sol = np.linalg.solve(A, b)
     sol += np.linalg.solve(A, b - A @ sol)
     q = sol[:n]
     residual = float(np.max(np.abs((np.eye(n) - model.kernel) @ q - rhs)))
-    centred = float(abs(mu.weights @ q))
+    centred = float(abs(mu @ q))
     tol = residual_tol(q, model.kernel @ q, rhs)
     if residual > tol or centred > tol:
         raise NumericalFailure(
@@ -196,7 +195,7 @@ def zero_potential(model: MarkovModel, f, mu: Distribution) -> ZeroPotential:
 
 
 def stopped_potential_exact(
-    model: MarkovModel, f, mu: Distribution, q, stop_region, cap_steps: int, start: int
+    model: MarkovModel, f, q, stop_region, cap_steps: int, start: int
 ) -> float:
     """Exact E^x[ sum_{k < tau} dt*(f - mu(f)) + q(X_tau) ] by one taboo sweep.
 
@@ -207,7 +206,7 @@ def stopped_potential_exact(
     qv = per_state(model, q, "q")
     region = region_mask(model, stop_region)
     start = state_index(model, start, "start")
-    centred = model.dt * (fv - float(mu.weights @ fv))
+    centred = model.dt * (fv - float(model.invariant.weights @ fv))
     v = taboo_sweep(model, ~region[:, None], qv[:, None], cap_steps, centred[:, None])
     return float(v[start, 0])
 
@@ -216,7 +215,6 @@ def verify_dynkin_identity(
     model: MarkovModel,
     zp: ZeroPotential,
     f,
-    mu: Distribution,
     stop_region,
     cap_steps: int,
     start: int,
@@ -244,7 +242,7 @@ def verify_dynkin_identity(
             estimate=reference, std_error=0.0, reference=reference,
             z_score=0.0, verdict="PASS",
         )
-    centred = RewardSpec(f=fv - float(mu.weights @ fv), g=zp.q, mu_f=0.0)
+    centred = RewardSpec(f=fv - float(model.invariant.weights @ fv), g=zp.q)
     est = estimate_functional(
         model, centred, region, start, [cap_steps * model.dt], n_paths, seed
     )

@@ -97,7 +97,3 @@ class UnreachableRegion(MathVerdictError):
 
 class BoundViolated(MathVerdictError):
     """Expected stopping time exceeded its theoretical bound: solver bug."""
-
-
-class NoValidN(MathVerdictError):
-    """No ball radius satisfies the tail condition; invariant law suspect."""

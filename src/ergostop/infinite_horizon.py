@@ -24,21 +24,18 @@ from .errors import (
     BoundViolated,
     NoCoords,
     NotIrreducible,
-    NoValidN,
     NumericalFailure,
     TooManyStates,
 )
 from .markov import (
-    Distribution,
     MarkovModel,
     per_state,
     region_mask,
     residual_tol,
     state_index,
-    stationary_distribution,
     surely_hits,
 )
-from .rewards import RewardSpec, make_rewards
+from .rewards import RewardSpec
 
 DEFAULT_DELTA = 0.5
 # the region oracle enumerates 2^n - 1 regions: refused beyond this many states
@@ -213,23 +210,21 @@ def solve_infinite_horizon(
     otherwise the value may be infinite) and reducible chains. ``d`` may
     override the default constant delta * mu(f) used for the stopping-time
     bound; it must be negative per state. A certified solution whose
-    expected_tau exceeds Z raises ``BoundViolated``. A missing mu(f) is taken
-    from the invariant law.
+    expected_tau exceeds Z raises ``BoundViolated``.
     """
+    # the law first: it refuses a chain with several recurrent classes itself
+    mu_f = float(model.invariant.weights @ rewards.f)
     if not model.irreducible:
         raise NotIrreducible("infinite-horizon solver needs an irreducible chain")
-    rewards = _with_mu_f(model, rewards)
-    if rewards.mu_f >= 0:
-        raise DriftNotNegative(
-            f"mu(f) = {rewards.mu_f} >= 0; undiscounted value may be infinite"
-        )
+    if mu_f >= 0:
+        raise DriftNotNegative(f"mu(f) = {mu_f} >= 0; undiscounted value may be infinite")
     w, region, residual, tie, certified, iterations = _certified_solve(
         model.kernel, model.dt, rewards.f, rewards.g
     )
     if d is None:
         if not 0 < delta <= 1:
             raise ValueError(f"delta must lie in (0, 1], got {delta}")
-        d = delta * rewards.mu_f
+        d = delta * mu_f
     d_vec = _negative_d(model, d)
     gamma, _, Z = _gamma_and_bound(model, rewards, d_vec)
     expected_tau = expected_hitting_time(model, region)
@@ -242,13 +237,6 @@ def solve_infinite_horizon(
     )
 
 
-def _with_mu_f(model: MarkovModel, rewards: RewardSpec) -> RewardSpec:
-    """``rewards`` with mu(f) from the invariant law when it is missing."""
-    if rewards.mu_f is not None:
-        return rewards
-    return make_rewards(model, rewards.f, rewards.g)
-
-
 def _negative_d(model: MarkovModel, d) -> np.ndarray:
     d_vec = np.asarray(d, dtype=float) * np.ones(model.n_states)
     if np.any(d_vec >= 0):
@@ -258,7 +246,7 @@ def _negative_d(model: MarkovModel, d) -> np.ndarray:
 
 def _gamma_and_bound(model: MarkovModel, rewards: RewardSpec, d_vec: np.ndarray):
     """gamma, max g+ and Z = (gamma + max g+ - g + 1) / (-d) for a negative d."""
-    gamma = _gamma(model, rewards.f, rewards.mu_f, d_vec)
+    gamma = _gamma(model, rewards.f, d_vec)
     zeta_plus = float(np.maximum(rewards.g, 0.0).max())
     return gamma, zeta_plus, (gamma + zeta_plus - rewards.g + 1.0) / (-d_vec)
 
@@ -297,14 +285,12 @@ def gamma_value(model: MarkovModel, f, d) -> np.ndarray:
     natural choice d = mu(f) and stays finite on a finite chain, so only a
     strictly positive centred drift is refused.
     """
-    fv = per_state(model, f, "f")
-    d_vec = _negative_d(model, d)
-    mu_f = float(stationary_distribution(model).weights @ fv)
-    return _gamma(model, fv, mu_f, d_vec)
+    return _gamma(model, per_state(model, f, "f"), _negative_d(model, d))
 
 
-def _gamma(model: MarkovModel, fv: np.ndarray, mu_f: float, d_vec: np.ndarray):
-    """gamma_value for a validated f with invariant mean mu_f and negative d."""
+def _gamma(model: MarkovModel, fv: np.ndarray, d_vec: np.ndarray):
+    """gamma_value for a validated f and a negative d."""
+    mu_f = float(model.invariant.weights @ fv)
     gamma = np.empty(model.n_states)
     zero_term = np.zeros(model.n_states)
     for c in np.unique(d_vec):
@@ -331,11 +317,10 @@ def stopping_time_bound(
 
     E[max g+] reduces to max g+ by recurrence on an irreducible chain. The
     inequality expected_tau <= Z is checked as ``solve_infinite_horizon``
-    checks it for its own d. A missing mu(f) is taken from the invariant law.
+    checks it for its own d.
     """
     if not model.irreducible:
         raise NotIrreducible("bound needs an irreducible chain")
-    rewards = _with_mu_f(model, rewards)
     if not solution.certified:
         raise ValueError("stopping-time bound requires a certified solution")
     d_vec = _negative_d(model, d)
@@ -426,28 +411,25 @@ def check_condition_S(
     (1 - delta) * mu(f) and terminal reward -q; gamma uses d = delta * mu(f).
     The identity is exact on the grid because the zero-potential shifts
     every hitting rule's value by -q. Refuses a chain with more than one
-    recurrent class, the precondition of its policy iterations. A missing
-    mu(f) is taken from the invariant law.
+    recurrent class, the precondition of its policy iterations.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if len(model.structure[0]) != 1:
         raise NotIrreducible("condition S needs a chain with one recurrent class")
-    rewards = _with_mu_f(model, rewards)
-    if rewards.mu_f >= 0:
-        raise DriftNotNegative(f"mu(f) = {rewards.mu_f} >= 0")
+    mu_f = float(model.invariant.weights @ rewards.f)
+    if mu_f >= 0:
+        raise DriftNotNegative(f"mu(f) = {mu_f} >= 0")
     q = per_state(
         model, zero_potential.q if hasattr(zero_potential, "q") else zero_potential, "q"
     )
-    run = np.full(model.n_states, (1.0 - delta) * rewards.mu_f)
+    run = np.full(model.n_states, (1.0 - delta) * mu_f)
     bar, _, residual, _, certified, _ = _certified_solve(model.kernel, model.dt, run, -q)
     if not certified:
         raise NumericalFailure(
             f"bar-gamma solve failed certification (residual {residual:.2e})"
         )
-    gamma = _gamma(
-        model, rewards.f, rewards.mu_f, np.full(model.n_states, delta * rewards.mu_f)
-    )
+    gamma = _gamma(model, rewards.f, np.full(model.n_states, delta * mu_f))
     gap = float(np.max(np.abs(bar - (gamma - q))))
     return ConditionSReport(
         delta=delta, bar_gamma=bar, gamma=gamma, identity_gap=gap,
@@ -455,9 +437,7 @@ def check_condition_S(
     )
 
 
-def compactify_running_reward(
-    model: MarkovModel, f, mu: Distribution, center: int = 0
-) -> CompactifiedReward:
+def compactify_running_reward(model: MarkovModel, f, center: int = 0) -> CompactifiedReward:
     """Flatten f outside a ball large enough that the tail cannot spoil the
     negative mean: the smallest radius N with tail integral below -mu(f)/4.
 
@@ -467,27 +447,21 @@ def compactify_running_reward(
         raise NoCoords("compactification needs per-state coordinates")
     center = state_index(model, center, "center")
     fv = per_state(model, f, "f")
-    mu_f = float(mu.weights @ fv)
+    mu = model.invariant.weights
+    mu_f = float(mu @ fv)
     if mu_f >= 0:
         raise DriftNotNegative(f"mu(f) = {mu_f} >= 0")
     dist_center = np.linalg.norm(model.coords - model.coords[center], axis=1)
     # the ball of integer radius r holds the states with ceil(dist) <= r, so
-    # the tail only changes at those ceilings: try 1 and each of them in turn
+    # the tail only changes at those ceilings: try 1 and each of them in
+    # turn. The last ball holds every state, so its tail is 0 and the loop
+    # ends with a valid N at the latest there.
     ceilings = np.ceil(dist_center)
     radii = np.unique(np.append(ceilings[ceilings >= 1], 1.0)).tolist()
-    N = None
-    for radius in map(int, radii):
-        ball = dist_center <= radius
-        tail = float((np.abs(fv) * mu.weights)[~ball].sum())
-        if tail < -mu_f / 4.0:
-            N = radius
+    for N in map(int, radii):
+        ball = dist_center <= N
+        if float((np.abs(fv) * mu)[~ball].sum()) < -mu_f / 4.0:
             break
-    if N is None:
-        raise NoValidN(
-            "no ball satisfies the tail condition; the supplied invariant law "
-            "does not match the model"
-        )
-    ball = dist_center <= N
     pairwise = np.linalg.norm(
         model.coords[:, None, :] - model.coords[None, :, :], axis=2
     )
@@ -495,7 +469,7 @@ def compactify_running_reward(
     z = 1.0 - np.minimum(dist_to_ball, 1.0)
     f_hat = z * fv
     f_bar = np.maximum(fv, f_hat)
-    mu_f_bar = float(mu.weights @ f_bar)
+    mu_f_bar = float(mu @ f_bar)
     outside = dist_center > N + 1
     if np.any(f_bar < fv):
         raise NumericalFailure("compactified reward fails to dominate f")

@@ -3,10 +3,12 @@
 States are addressed by index throughout; ``MarkovModel.states`` carries the
 user-facing identifiers for I/O. Kernels are dense row-stochastic matrices at
 a fixed time step ``dt``; continuous time enters only through generators that
-are discretized by uniformization. Each model also caches a support form of
-its kernel (``Supports``: every state's nonzero successors and predecessors,
-padded to the widest), which the sampler steps on and through which
-``kernel_product`` gathers the stacked products of narrow, large kernels.
+are discretized by uniformization. The graph of a kernel has an edge i -> j
+exactly where the entry (i, j) is nonzero. Each model caches what is read
+from its kernel: its recurrent classes and period, its invariant law, and a
+support form (``Supports``: every state's nonzero successors and
+predecessors, padded to the widest), which the sampler steps on and through
+which ``kernel_product`` gathers the stacked products of narrow, large kernels.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
-EDGE_TOL = 1e-15          # kernel entries above this count as graph edges
 POISSON_TAIL_TOL = 1e-14
 STATIONARY_TOL = 1e-12
 REL_TOL = 1e-12           # the one tolerance relative to the size of an equation
@@ -75,6 +76,12 @@ class MarkovModel:
         """All states mutually reachable: one recurrent class, of every state."""
         classes, _ = self.structure
         return len(classes) == 1 and bool(classes[0].all())
+
+    @functools.cached_property
+    def invariant(self) -> Distribution:
+        """The invariant law, ``stationary_distribution`` of the model,
+        solved once: every solver that reads mu reads it here."""
+        return stationary_distribution(self)
 
     @functools.cached_property
     def supports(self) -> Supports:
@@ -213,8 +220,9 @@ def _as_coords(coords, n: int) -> np.ndarray | None:
 # -- graph structure ---------------------------------------------------------
 
 def adjacency(kernel: np.ndarray) -> np.ndarray:
-    """Boolean edge matrix of entries exceeding the positivity tolerance."""
-    return kernel > EDGE_TOL
+    """Boolean edge matrix: the kernel's nonzero entries, the same edges
+    that ``Supports``, the sampler and every linear solve see."""
+    return kernel != 0
 
 
 def reaches(adj: np.ndarray, target) -> np.ndarray:
@@ -304,7 +312,10 @@ def stationary_distribution(model: MarkovModel) -> Distribution:
     w = np.linalg.solve(A, b)
     # one pass of iterative refinement tightens the residual to ~1e-16
     w += np.linalg.solve(A, b - A @ w)
-    w = np.where(np.abs(w) < 1e-14, 0.0, w)
+    # the law lives on the recurrent class, where every weight is positive,
+    # however small: states off it get exact zeros, rounding below zero on
+    # it is clipped
+    w = np.where(classes[0], np.maximum(w, 0.0), 0.0)
     w /= w.sum()
     resid = np.max(np.abs(w @ model.kernel - w))
     if resid > STATIONARY_TOL:

@@ -41,6 +41,8 @@ Z_THRESHOLD = 3.0
 VERDICT_PASS = "PASS"
 VERDICT_FAIL = "FAIL"
 VERDICT_DIVERGING = "MinusInfinityTrend"
+MISSED_REGION = ("region is missed with positive probability from start; "
+                 "the hitting time is not integrable")
 
 
 @dataclass
@@ -128,8 +130,7 @@ def check_region_hit(model: MarkovModel, region, start: int) -> None:
     from ``start``, where ``region_value`` is -inf, by one graph search."""
     mask = region_mask(model, region)
     if not surely_hits(model.kernel, mask)[state_index(model, start, "start")]:
-        raise UnreachableRegion("region is missed with positive probability from start; "
-                                "the hitting time is not integrable")
+        raise UnreachableRegion(MISSED_REGION)
 
 
 def terminal_truncation_gap(
@@ -149,6 +150,8 @@ def terminal_truncation_gap(
     and no cancellation. Verdict PASS iff at the largest horizon both are at
     most Z_THRESHOLD times ``std_errors[-1]``, the functional estimate's
     standard error there, plus ``residual_tol`` of their terminal columns.
+    A region missed with positive probability from ``start``, where v is
+    -inf there, is refused (UnreachableRegion).
     """
     mask = region_mask(model, region)
     start = state_index(model, start, "start")
@@ -159,8 +162,9 @@ def terminal_truncation_gap(
     gm, gaps = np.zeros((2, len(steps)))
     ok = True
     if not mask[start]:   # from inside the region tau = 0: both are 0 exactly
-        check_region_hit(model, mask, start)
         value = region_value(model, rewards, mask)
+        if value[start] == -np.inf:
+            raise UnreachableRegion(MISSED_REGION)
         # terms off the region count exactly on {tau > T}; v is finite wherever
         # the start can be before tau, so the other states' terms are never read
         off = ~mask & np.isfinite(value)

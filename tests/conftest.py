@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergostop import build_dtmc, build_from_generator, make_rewards, stationary_distribution
+from ergostop import build_dtmc, build_from_generator, make_rewards
 
 # Two-state reference chain used across the suite: kernel rows (0.6, 0.4) and
 # (0.2, 0.8), f = (2, -4), g = (0, 5); invariant law (1/3, 2/3), mu(f) = -2.
@@ -36,12 +36,12 @@ def chain_a():
 
 @pytest.fixture
 def chain_a_mu(chain_a):
-    return stationary_distribution(chain_a)
+    return chain_a.invariant
 
 
 @pytest.fixture
-def chain_a_rewards(chain_a, chain_a_mu):
-    return make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G, chain_a_mu)
+def chain_a_rewards(chain_a):
+    return make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G)
 
 
 @pytest.fixture
@@ -72,9 +72,9 @@ def random_chain(rng, n, dt_choices=(0.5, 1.0, 2.0)):
 
 def random_rewards(model, rng, drift_margin=None, g_scale=3.0):
     """Random rewards conditioned on a strictly negative invariant mean of f."""
-    mu = stationary_distribution(model)
+    mu = model.invariant
     f = rng.normal(0.0, 2.0, model.n_states)
     margin = drift_margin if drift_margin is not None else 0.3 + 1.7 * rng.random()
     f = f - float(mu.weights @ f) - margin
     g = rng.normal(0.0, g_scale, model.n_states)
-    return make_rewards(model, f, g, mu)
+    return make_rewards(model, f, g)

@@ -88,7 +88,7 @@ def rule_forward_reach(model, stop_bits, start, horizon_steps):
     """(time, state) pairs visited before stopping under a fixed rule,
     starting from ``start``; stop_bits has shape (T, n)."""
     n = model.n_states
-    adj = model.kernel > 1e-15
+    adj = model.kernel != 0
     reached = np.zeros((horizon_steps + 1, n), dtype=bool)
     alive = np.zeros(n, dtype=bool)
     alive[start] = True
@@ -104,7 +104,7 @@ def rule_forward_reach(model, stop_bits, start, horizon_steps):
 def transitive_closure(kernel):
     """R[i, j] = state j reachable from i in >= 0 steps, by squaring the
     boolean reachability matrix until it stops changing."""
-    reach = (kernel > 1e-15) | np.eye(kernel.shape[0], dtype=bool)
+    reach = (kernel != 0) | np.eye(kernel.shape[0], dtype=bool)
     while True:
         nxt = reach @ reach
         if (nxt == reach).all():

@@ -27,7 +27,6 @@ from ergostop import (
     solve_finite_horizon,
     solve_infinite_horizon,
     solve_truncated,
-    stationary_distribution,
     stopped_potential_exact,
     stopping_rule_eps,
     stopping_time_bound,
@@ -49,16 +48,14 @@ def _corpus(seed, count, max_states, **reward_kwargs):
 def test_criterion_1_zero_potential():
     count = 0
     for model, rewards, _ in _corpus(101, 110, 8):
-        mu = stationary_distribution(model)
-        zp = zero_potential(model, rewards.f, mu)
+        zp = zero_potential(model, rewards.f)
         assert zp.residual <= 1e-10
         assert zp.centred <= 1e-10
         count += 1
     assert count >= 100
     chain_a = build_dtmc([0, 1], [[0.6, 0.4], [0.2, 0.8]], dt=1.0)
-    mu = stationary_distribution(chain_a)
-    zp = zero_potential(chain_a, CHAIN_A_F, mu)
-    oracle = series_zero_potential(chain_a, CHAIN_A_F, mu, k_max=200)
+    zp = zero_potential(chain_a, CHAIN_A_F)
+    oracle = series_zero_potential(chain_a, CHAIN_A_F, chain_a.invariant, k_max=200)
     assert np.max(np.abs(zp.q - oracle)) <= 1e-9
     print(f"criterion 1: PASS ({count} chains, residual/centred <= 1e-10, "
           "series oracle match 1e-9)")
@@ -66,15 +63,14 @@ def test_criterion_1_zero_potential():
 
 def test_criterion_2_dynkin_identity():
     chain_a = build_dtmc([0, 1], [[0.6, 0.4], [0.2, 0.8]], dt=1.0)
-    mu = stationary_distribution(chain_a)
-    zp = zero_potential(chain_a, CHAIN_A_F, mu)
+    zp = zero_potential(chain_a, CHAIN_A_F)
     report = verify_dynkin_identity(
-        chain_a, zp, CHAIN_A_F, mu, [1], cap_steps=50, start=0,
+        chain_a, zp, CHAIN_A_F, [1], cap_steps=50, start=0,
         n_paths=100_000, seed=202,
     )
     assert report.verdict == "PASS"
     assert abs(report.estimate - report.reference) <= 3 * report.std_error
-    exact = stopped_potential_exact(chain_a, CHAIN_A_F, mu, zp.q, [1], 50, 0)
+    exact = stopped_potential_exact(chain_a, CHAIN_A_F, zp.q, [1], 50, 0)
     assert abs(exact - zp.q[0]) <= 1e-9
     print(f"criterion 2: PASS (MC z = {report.z_score:+.2f} within 3 se, "
           f"exact stopped identity gap {abs(exact - zp.q[0]):.2e} <= 1e-9)")
@@ -122,8 +118,7 @@ def test_criterion_4_truncation_bound():
         g = rng.uniform(-2.0, 2.0, n_states)
         g[spike] = rng.uniform(80.0, 120.0)
         f = rng.uniform(-2.0, 2.0, n_states)
-        mu = stationary_distribution(model)
-        rewards = make_rewards(model, f, g, mu)
+        rewards = make_rewards(model, f, g)
         T = int(rng.integers(1, 4))
         level = 5.0
         plain = solve_finite_horizon(model, rewards, T)
@@ -190,7 +185,7 @@ def test_criterion_7_stopping_time_bound():
     for model, rewards, _ in _corpus(707, 60, 8):
         sol = solve_infinite_horizon(model, rewards)
         for delta in (0.25, 0.5, 1.0):
-            rep = stopping_time_bound(model, rewards, sol, delta * rewards.mu_f)
+            rep = stopping_time_bound(model, rewards, sol, delta * (model.invariant.weights @ rewards.f))
             assert (rep.expected_tau <= rep.Z + 1e-9).all()
         count += 1
     chain_a = build_dtmc([0, 1], [[0.6, 0.4], [0.2, 0.8]], dt=1.0)
@@ -235,10 +230,9 @@ def test_criterion_9_compactified_reward():
         ],
         coords=CHAIN_B_COORDS,
     )
-    mu = stationary_distribution(model)
     f = np.array([-3.0, -3.0, -3.0, 1.0, 1.0])
-    mu_f = float(mu.weights @ f)
-    comp = compactify_running_reward(model, f, mu, center=0)
+    mu_f = float(model.invariant.weights @ f)
+    comp = compactify_running_reward(model, f, center=0)
     dist = np.abs(np.arange(5) - 0)
     outside = dist > comp.N + 1
     assert (comp.f_bar >= f).all()
@@ -253,8 +247,7 @@ def test_criterion_10_condition_s_identity():
     worst = 0.0
     count = 0
     for model, rewards, rng in _corpus(1010, 40, 7):
-        mu = stationary_distribution(model)
-        zp = zero_potential(model, rewards.f, mu)
+        zp = zero_potential(model, rewards.f)
         for delta in (0.25, 0.5, 1.0):
             rep = check_condition_S(model, rewards, zp, delta)
             assert rep.identity_gap <= 1e-8

@@ -733,6 +733,35 @@ def test_one_graph_pass_per_command(tmp_path, monkeypatch, argv, passes):
     assert len(calls) == passes
 
 
+@pytest.mark.parametrize(
+    "argv, solves",
+    [(["solve-infinite"], 1), (["oracle-check"], 1), (["diagnose", "--check", "poisson"], 1),
+     (["diagnose", "--check", "tv"], 1),
+     (["diagnose", "--check", "dynkin", "--region", "1", "--paths", "50"], 1),
+     (["compactify"], 1), (["solve", "--horizon", "4"], 0),
+     (["simulate", "--region", "1", "--horizons", "4,8", "--paths", "50"], 0)],
+    ids=["solve-infinite", "oracle-check", "poisson", "tv", "dynkin", "compactify",
+         "solve", "simulate"],
+)
+def test_one_invariant_solve_per_command(tmp_path, monkeypatch, argv, solves):
+    # the model caches its invariant law, so no command solves for it twice
+    calls = []
+    stationary = markov.stationary_distribution
+
+    def counted(model):
+        calls.append(1)
+        return stationary(model)
+
+    monkeypatch.setattr(markov, "stationary_distribution", counted)
+    path = tmp_path / "chain_a.json"
+    path.write_text(json.dumps({
+        "states": ["0", "1"], "kernel": CHAIN_A_KERNEL, "dt": 1.0,
+        "coords": [[0.0], [1.0]], "f": list(CHAIN_A_F), "g": list(CHAIN_A_G),
+    }))
+    assert run([*argv, "--model", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == solves
+
+
 def test_emit_report_empty_table(tmp_path):
     paths = emit_report({"empty": (("a", "b"), [])}, str(tmp_path), "csv")
     content = Path(paths[0]).read_text()
@@ -797,3 +826,16 @@ def test_simulate_runs_on_two_recurrent_classes(tmp_path):
                 "--horizons", "1,2", "--paths", "200", "--out", out]) == 0
     verdicts = read_json(os.path.join(out, "verdicts.json"))
     assert verdicts["functional_verdict"] == verdicts["truncation_verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [["solve-infinite"], ["oracle-check"], ["compactify"],
+                                  ["diagnose", "--check", "tv"]],
+                         ids=["solve-infinite", "oracle-check", "compactify", "tv"])
+def test_two_recurrent_classes_are_refused_by_the_invariant_law(tmp_path, argv):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({**TWO_CLASSES, "coords": [[0.0], [1.0], [2.0]]}))
+    out = str(tmp_path / "out")
+    assert run([*argv, "--model", str(path), "--out", out]) == 2
+    verdict = read_json(os.path.join(out, "verdict.json"))
+    assert verdict["verdict"] == "NotIrreducible"
+    assert verdict["message"] == "found 2 recurrent classes; invariant law not unique"

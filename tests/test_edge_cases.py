@@ -49,11 +49,14 @@ def test_functional_brackets_from_every_start(chain_a, chain_a_rewards):
         assert abs(est.estimates[-1] - sol.w[start]) <= 3 * est.std_errors[-1] + 1e-12
 
 
-def test_mean_drift_cached_against_invariant_law(chain_a):
-    mu = stationary_distribution(chain_a)
-    rw = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G, mu)
-    assert rw.mu_f == pytest.approx(-2.0, abs=1e-12)
-    assert rw.mu_f == pytest.approx(float(mu.weights @ rw.f), abs=1e-12)
+def test_mean_drift_is_read_from_the_cached_invariant_law(chain_a):
+    mu = chain_a.invariant
+    assert chain_a.invariant is mu   # solved once per model
+    rw = make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G)
+    mu_f = float(mu.weights @ rw.f)
+    assert mu_f == pytest.approx(-2.0, abs=1e-12)
+    assert mu_f == pytest.approx(float(stationary_distribution(chain_a).weights @ rw.f),
+                                 abs=1e-12)
 
 
 def test_every_public_name_resolves():

@@ -10,7 +10,6 @@ from ergostop import (
     make_rewards,
     solve_finite_horizon,
     solve_truncated,
-    stationary_distribution,
     stopped_potential_exact,
     survival_probability,
     truncation_gap_bound,
@@ -255,9 +254,7 @@ def test_b_family_with_coords(chain_b, chain_b_rewards):
         lambda m, r: expected_running_max(m, r.g, -5),
         lambda m, r: truncation_gap_bound(m, r, -5, 1.0),
         lambda m, r: b_family_diagnostics(m, r, -5, [[2], list(range(5))], [2]),
-        lambda m, r: stopped_potential_exact(
-            m, r.f, stationary_distribution(m), r.g, [0], -3, 4
-        ),
+        lambda m, r: stopped_potential_exact(m, r.f, r.g, [0], -3, 4),
     ],
     ids=["survival", "running-max", "gap-bound", "b-family", "stopped-potential"],
 )

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import numpy as np
@@ -19,14 +18,12 @@ from ergostop import (
     region_value,
     solve_finite_horizon,
     solve_infinite_horizon,
-    stationary_distribution,
     stopping_rule_eps,
     stopping_time_bound,
     zero_potential,
 )
 from ergostop import infinite_horizon, markov
 from ergostop.markov import residual_tol, surely_hits
-from ergostop.rewards import reward_vectors
 from ergostop.errors import (
     DimensionMismatch,
     DriftNotNegative,
@@ -148,7 +145,7 @@ def test_oracle_state_cap_comes_before_the_irreducibility_check():
     # only the order is new beside test_oracle_state_cap: this chain is reducible
     big = build_dtmc(range(21), np.eye(21))
     with pytest.raises(TooManyStates):
-        brute_force_region_oracle(big, reward_vectors(big, -np.ones(21), np.zeros(21)))
+        brute_force_region_oracle(big, make_rewards(big, -np.ones(21), np.zeros(21)))
 
 
 def test_certified_matches_oracle_on_corpus():
@@ -317,9 +314,8 @@ def test_rounds_solve_on_the_continuation_set_as_the_reference(seed, n, boundary
     # mu(run) < 0, or mu(run) = 0 up to rounding: the boundary gamma meets at d = mu(f)
     rng = np.random.default_rng(seed)
     m = _one_class_chain(rng, n)
-    mu = stationary_distribution(m)
     f = rng.normal(0.0, 2.0, n)
-    f = f - float(mu.weights @ f) - (0.0 if boundary else 0.1 + rng.random())
+    f = f - float(m.invariant.weights @ f) - (0.0 if boundary else 0.1 + rng.random())
     g = rng.normal(0.0, 3.0, n)
     real = infinite_horizon._policy_value
     rounds = []
@@ -366,9 +362,8 @@ def test_one_graph_search_per_solve_whatever_the_rounds(graph_searches, n):
 
 
 def test_gamma_and_condition_s_search_no_graph(graph_searches, chain_b, chain_b_rewards):
-    mu = stationary_distribution(chain_b)
-    gamma_value(chain_b, chain_b_rewards.f, chain_b_rewards.mu_f)
-    check_condition_S(chain_b, chain_b_rewards, zero_potential(chain_b, chain_b_rewards.f, mu),
+    gamma_value(chain_b, chain_b_rewards.f, chain_b.invariant.weights @ chain_b_rewards.f)
+    check_condition_S(chain_b, chain_b_rewards, zero_potential(chain_b, chain_b_rewards.f),
                       0.5)
     assert graph_searches == []
 
@@ -376,7 +371,7 @@ def test_gamma_and_condition_s_search_no_graph(graph_searches, chain_b, chain_b_
 def test_condition_s_refuses_two_recurrent_classes():
     # states 0 and 2 absorb, so a round's region may miss a recurrent class
     m = build_dtmc(range(3), [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
-    rw = dataclasses.replace(reward_vectors(m, [-1.0] * 3, [0.0, 1.0, 0.0]), mu_f=-1.0)
+    rw = make_rewards(m, [-1.0] * 3, [0.0, 1.0, 0.0])
     with pytest.raises(NotIrreducible):
         check_condition_S(m, rw, np.zeros(3), 0.5)
 
@@ -450,10 +445,10 @@ def test_gamma_value_chain_a(chain_a):
     np.testing.assert_allclose(gamma, [7.5, 0.0], atol=1e-10)
 
 
-def test_gamma_value_boundary_delta_one(chain_a, chain_a_mu):
+def test_gamma_value_boundary_delta_one(chain_a):
     # d = mu(f): centred drift, still finite; equals q - min q
     gamma = gamma_value(chain_a, CHAIN_A_F, -2.0)
-    q = zero_potential(chain_a, CHAIN_A_F, chain_a_mu).q
+    q = zero_potential(chain_a, CHAIN_A_F).q
     np.testing.assert_allclose(gamma, q - q.min(), atol=1e-8)
 
 
@@ -496,7 +491,7 @@ def test_bound_on_corpus_all_deltas():
         rw = random_rewards(m, rng)
         sol = solve_infinite_horizon(m, rw)
         for delta in (0.25, 0.5, 1.0):
-            rep = stopping_time_bound(m, rw, sol, delta * rw.mu_f)
+            rep = stopping_time_bound(m, rw, sol, delta * (m.invariant.weights @ rw.f))
             assert (rep.expected_tau <= rep.Z + 1e-9).all()
 
 
@@ -505,26 +500,26 @@ def test_expected_hitting_time_chain_a(chain_a):
     np.testing.assert_allclose(t, [2.5, 0.0], atol=1e-12)
 
 
-def test_condition_s_constant_f(chain_a, chain_a_mu):
+def test_condition_s_constant_f(chain_a):
     f = np.array([-1.0, -1.0])
-    rw = make_rewards(chain_a, f, CHAIN_A_G, chain_a_mu)
-    zp = zero_potential(chain_a, f, chain_a_mu)
+    rw = make_rewards(chain_a, f, CHAIN_A_G)
+    zp = zero_potential(chain_a, f)
     rep = check_condition_S(chain_a, rw, zp, delta=0.5)
     np.testing.assert_allclose(rep.bar_gamma, 0.0, atol=1e-10)
     assert rep.identity_gap <= 1e-10
     assert rep.holds
 
 
-def test_condition_s_chain_a(chain_a, chain_a_rewards, chain_a_mu):
-    zp = zero_potential(chain_a, CHAIN_A_F, chain_a_mu)
+def test_condition_s_chain_a(chain_a, chain_a_rewards):
+    zp = zero_potential(chain_a, CHAIN_A_F)
     rep = check_condition_S(chain_a, chain_a_rewards, zp, delta=0.5)
     assert rep.identity_gap <= 1e-8
     assert rep.holds
     np.testing.assert_allclose(rep.bar_gamma, [5 / 6, 10 / 3], atol=1e-8)
 
 
-def test_condition_s_delta_one(chain_a, chain_a_rewards, chain_a_mu):
-    zp = zero_potential(chain_a, CHAIN_A_F, chain_a_mu)
+def test_condition_s_delta_one(chain_a, chain_a_rewards):
+    zp = zero_potential(chain_a, CHAIN_A_F)
     rep = check_condition_S(chain_a, chain_a_rewards, zp, delta=1.0)
     assert rep.identity_gap <= 1e-8
     # zero running reward, terminal -q: the value is the constant -min q
@@ -536,18 +531,20 @@ def test_condition_s_identity_on_corpus():
     for _ in range(10):
         m = random_chain(rng, int(rng.integers(2, 7)))
         rw = random_rewards(m, rng)
-        mu = stationary_distribution(m)
-        zp = zero_potential(m, rw.f, mu)
+        zp = zero_potential(m, rw.f)
         for delta in (0.25, 0.5, 1.0):
             rep = check_condition_S(m, rw, zp, delta)
             assert rep.identity_gap <= 1e-8
 
 
-def test_missing_mu_f_is_taken_from_the_invariant_law(chain_a, chain_a_rewards, chain_a_mu):
-    zp = zero_potential(chain_a, CHAIN_A_F, chain_a_mu)
+def test_the_drift_is_read_from_the_invariant_law_of_the_model(chain_a, chain_a_rewards):
+    # mu(f) = -2 on chain A; the default d is delta * mu(f) read from the model
+    mu_f = float(chain_a.invariant.weights @ CHAIN_A_F)
+    assert mu_f == pytest.approx(-2.0, abs=1e-12)
+    zp = zero_potential(chain_a, CHAIN_A_F)
     ref = solve_infinite_horizon(chain_a, chain_a_rewards)
-    for bare in (reward_vectors(chain_a, CHAIN_A_F, CHAIN_A_G), RewardSpec(CHAIN_A_F, CHAIN_A_G)):
-        assert bare.mu_f is None
+    np.testing.assert_array_equal(ref.d, infinite_horizon.DEFAULT_DELTA * mu_f)
+    for bare in (make_rewards(chain_a, CHAIN_A_F, CHAIN_A_G), RewardSpec(CHAIN_A_F, CHAIN_A_G)):
         sol = solve_infinite_horizon(chain_a, bare)
         np.testing.assert_array_equal(sol.w, ref.w)
         np.testing.assert_array_equal(sol.Z, ref.Z)
@@ -561,32 +558,35 @@ def test_missing_mu_f_is_taken_from_the_invariant_law(chain_a, chain_a_rewards, 
         )
 
 
+def test_a_d_above_the_invariant_drift_is_refused(chain_a, chain_a_rewards):
+    # mu(f - d) = -2 + 5 = 3 > 0: the auxiliary value gamma is infinite
+    with pytest.raises(DriftNotNegative, match=r"mu\(f - d\) = 2\.99"):
+        solve_infinite_horizon(chain_a, chain_a_rewards, d=-5.0)
+
+
 def test_condition_s_and_compactify_refuse_vectors_of_the_wrong_length(chain_b, chain_b_rewards):
-    mu = stationary_distribution(chain_b)
     with pytest.raises(DimensionMismatch, match="q must have shape"):
         check_condition_S(chain_b, chain_b_rewards, np.zeros(4), 0.5)
     with pytest.raises(DimensionMismatch, match="f must have shape"):
-        compactify_running_reward(chain_b, [-1.0] * 4, mu)
+        compactify_running_reward(chain_b, [-1.0] * 4)
 
 
-def test_compactify_needs_coords(chain_a, chain_a_mu):
+def test_compactify_needs_coords(chain_a):
     with pytest.raises(NoCoords):
-        compactify_running_reward(chain_a, CHAIN_A_F, chain_a_mu)
+        compactify_running_reward(chain_a, CHAIN_A_F)
 
 
 def test_compactify_support_inside_first_ball(chain_b):
-    mu = stationary_distribution(chain_b)
     f = np.array([-2.0, -1.0, 0.0, 0.0, 0.0])
-    comp = compactify_running_reward(chain_b, f, mu, center=0)
+    comp = compactify_running_reward(chain_b, f, center=0)
     assert comp.N == 1
     np.testing.assert_allclose(comp.f_bar[:2], f[:2])
     np.testing.assert_allclose(comp.f_bar[2:], 0.0)
 
 
 def test_compactify_nonnegative_outside_keeps_f(chain_b):
-    mu = stationary_distribution(chain_b)
     f = np.array([-9.0, -2.0, 0.5, 0.5, 0.5])
-    comp = compactify_running_reward(chain_b, f, mu, center=0)
+    comp = compactify_running_reward(chain_b, f, center=0)
     assert comp.N == 1
     outside = np.arange(5) > comp.N
     # flattening cannot lower f where it is already nonnegative
@@ -602,19 +602,19 @@ def test_compactify_radius_matches_the_integer_scan():
         if rng.random() < 0.5:  # distances that land on integers
             coords = np.round(coords)
         model = build_dtmc(range(n), random_chain(rng, n).kernel, coords=coords)
-        mu = stationary_distribution(model)
+        mu = model.invariant
         f = rng.normal(0.0, 2.0, n)
         f = f - float(mu.weights @ f) - 0.3
         center = int(rng.integers(n))
-        comp = compactify_running_reward(model, f, mu, center=center)
+        comp = compactify_running_reward(model, f, center=center)
         assert comp.N == loop_ball_radius(coords, center, f, mu.weights)
 
 
-def test_compactify_time_does_not_grow_with_the_coordinates_scale(chain_a_mu):
+def test_compactify_time_does_not_grow_with_the_coordinates_scale():
     # an integer scan would try a billion radii here
     model = build_dtmc([0, 1], CHAIN_A_KERNEL, coords=[[0.0], [1e9]])
     t0 = time.perf_counter()
-    comp = compactify_running_reward(model, CHAIN_A_F, chain_a_mu)
+    comp = compactify_running_reward(model, CHAIN_A_F)
     assert time.perf_counter() - t0 < 1.0
     assert comp.N == 1e9
 
@@ -631,11 +631,10 @@ def test_compactify_fractional_cutoff():
         ],
         coords=[[0.0], [0.5], [1.0], [1.75], [2.5]],
     )
-    mu = stationary_distribution(m)
     f = np.array([-4.0, 2.0, -1.0, 0.5, -0.5])
-    comp = compactify_running_reward(m, f, mu, center=0)
+    comp = compactify_running_reward(m, f, center=0)
     assert comp.N == 2
     # state 4 sits 0.75 beyond the ball: z = 0.25 softens its negative reward
     assert comp.z[4] == pytest.approx(0.25)
     assert comp.f_bar[4] == pytest.approx(-0.125)
-    assert comp.mu_f_bar <= (mu.weights @ f) / 2 + 1e-12
+    assert comp.mu_f_bar <= (m.invariant.weights @ f) / 2 + 1e-12

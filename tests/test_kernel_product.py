@@ -4,18 +4,18 @@ and its two consumers, the TV curve and the taboo sweep."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from conftest import random_chain
 from ergostop import (
     build_dtmc,
     make_rewards,
-    stationary_distribution,
     truncation_gap_bound,
     tv_distance_curve,
 )
 from ergostop import finite_horizon
+from ergostop.errors import NotIrreducible
 from ergostop.markov import (
-    Distribution,
     Supports,
     kernel_product,
     residual_tol,
@@ -126,11 +126,11 @@ def test_dense_path_is_byte_identical_to_the_dense_loops():
     for _ in range(20):
         model = random_chain(rng, int(rng.integers(2, 13)))
         assert not model.supports.gather
-        mu = stationary_distribution(model)
         probes = rng.choice(model.n_states, size=int(rng.integers(1, model.n_states + 1)),
                             replace=False)
-        got = tv_distance_curve(model, mu, probes, 9 * model.dt).tv
-        assert np.array_equal(got, dense_tv_curve(model.kernel, mu.weights, probes, 9))
+        got = tv_distance_curve(model, probes, 9 * model.dt).tv
+        assert np.array_equal(got, dense_tv_curve(model.kernel, model.invariant.weights,
+                                                  probes, 9))
         keep = rng.random((model.n_states, 3)) < 0.6
         assert np.array_equal(taboo_sweep(model, keep, ~keep, 9),
                               dense_taboo_sweep(model.kernel, keep, ~keep, 9))
@@ -138,19 +138,29 @@ def test_dense_path_is_byte_identical_to_the_dense_loops():
 
 def test_gathered_tv_curve_and_taboo_sweep_match_the_dense_loops():
     rng = np.random.default_rng(45)
-    for _ in range(20):
+    curves = 0
+    for k in range(20):
         n = int(rng.integers(2, 80))
-        model = _gathering(_sparse_chain(rng, n))
-        weights = rng.random(n)
-        mu = Distribution(weights=weights / weights.sum())
+        model = _sparse_chain(rng, n)
+        if k % 2:  # a cycle through every state mixed in: one recurrent class
+            model = build_dtmc(range(n), (model.kernel + np.roll(np.eye(n), 1, axis=1)) / 2)
+        model = _gathering(model)
         probes = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        got = tv_distance_curve(model, mu, probes, 12.0).tv
-        np.testing.assert_allclose(got, dense_tv_curve(model.kernel, mu.weights, probes, 12),
-                                   rtol=0, atol=1e-14)
+        if len(model.structure[0]) == 1:
+            got = tv_distance_curve(model, probes, 12.0).tv
+            np.testing.assert_allclose(
+                got, dense_tv_curve(model.kernel, model.invariant.weights, probes, 12),
+                rtol=0, atol=1e-14,
+            )
+            curves += 1
+        else:
+            with pytest.raises(NotIrreducible):
+                tv_distance_curve(model, probes, 12.0)
         keep = rng.random((n, 4)) < 0.7
         np.testing.assert_allclose(taboo_sweep(model, keep, ~keep, 12),
                                    dense_taboo_sweep(model.kernel, keep, ~keep, 12),
                                    rtol=1e-14, atol=1e-300)
+    assert curves >= 10
 
 
 def test_walk_1000_gap_bound_and_tv_curve_match_the_dense_sweeps(monkeypatch):
@@ -167,10 +177,9 @@ def test_walk_1000_gap_bound_and_tv_curve_match_the_dense_sweeps(monkeypatch):
                         dense_taboo_sweep(model.kernel, keep, value, steps))
     np.testing.assert_allclose(gap, truncation_gap_bound(model, rewards, 128, 2.0),
                                rtol=1e-14, atol=0)
-    mu = Distribution(weights=np.full(n, 1.0 / n))
     probes = x[::10]
-    np.testing.assert_allclose(tv_distance_curve(model, mu, probes, 64.0).tv,
-                               dense_tv_curve(model.kernel, mu.weights, probes, 64),
+    np.testing.assert_allclose(tv_distance_curve(model, probes, 64.0).tv,
+                               dense_tv_curve(model.kernel, model.invariant.weights, probes, 64),
                                rtol=0, atol=1e-14)
 
 
@@ -188,9 +197,9 @@ def test_gathered_tv_curve_peak_memory_stays_within_the_dense_loop():
     # temporary must not push the peak past that of the dense loop
     n = 1000
     model = _walk(n)
-    mu = Distribution(weights=np.full(n, 1.0 / n))
+    mu = model.invariant  # solved before the peak is traced
     probes = np.arange(n)
-    gathered = _peak(tv_distance_curve, model, mu, probes, 4.0)
+    gathered = _peak(tv_distance_curve, model, probes, 4.0)
     dense = _peak(dense_tv_curve, model.kernel, mu.weights, probes, 4)
     assert gathered <= dense
     assert gathered <= 2.5 * n * n * 8

@@ -16,6 +16,7 @@ from ergostop import (
     make_rewards,
     markov,
     region_value,
+    solve_infinite_horizon,
     stationary_distribution,
     stopped_potential_exact,
     survival_probability,
@@ -27,6 +28,7 @@ from ergostop import (
 from ergostop.errors import (
     BadGenerator,
     DimensionMismatch,
+    DriftNotNegative,
     EmptyStateSpace,
     NegativeEntry,
     NonStochasticRow,
@@ -269,6 +271,30 @@ def test_graph_functions_match_closure_references():
         )
 
 
+def test_an_edge_is_a_nonzero_entry_however_small():
+    # the graph sees the edges the sampler and every linear solve see: the
+    # 1e-16 entry 2 -> 0 closes the cycle, so this chain is irreducible
+    leak = build_dtmc(range(3), [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [1e-16, 0.0, 1 - 1e-16]])
+    assert leak.irreducible
+    sol = solve_infinite_horizon(leak, make_rewards(leak, [-1.0, -2.0, -0.5], [0.0, 3.0, 1.0]))
+    assert sol.certified
+    np.testing.assert_allclose(sol.w, [1.0, 3.0, 1.0], rtol=1e-12)
+    # state 0 can take its 1e-16 leak to the absorbing state 2 and miss {1}
+    K = np.array([[0.5 - 1e-16, 0.5, 1e-16], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(surely_hits(K, np.array([False, True, False])),
+                                  [False, True, False])
+
+
+def test_the_law_is_positive_on_the_whole_recurrent_class():
+    # the same chain: its law puts about 3e-16 and 2e-16 on states 0 and 1,
+    # so f = (1e17, -1, -1) has mean about +32; a law that zeroed those
+    # weights read -1 and let the solver certify a finite value
+    leak = build_dtmc(range(3), [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [1e-16, 0.0, 1 - 1e-16]])
+    assert (leak.invariant.weights > 0).all()
+    with pytest.raises(DriftNotNegative):
+        solve_infinite_horizon(leak, make_rewards(leak, [1e17, -1.0, -1.0], [0.0, 0.0, 0.0]))
+
+
 def _cyclic_kernel(rng, period, blocks, self_loop):
     """Irreducible kernel of period ``period``: state i sits in class
     i % period, the ring i -> i + 1 and the short cycle through states
@@ -309,17 +335,14 @@ def test_chain_period_matches_bfs_reference():
 
 # Entries that take one state index ``i``; -1 must not wrap to the last state.
 STATE_INDEX_CALLS = {
-    "tv-probe": lambda m, rw, i: tv_distance_curve(
-        m, stationary_distribution(m), [0, i], 4.0),
+    "tv-probe": lambda m, rw, i: tv_distance_curve(m, [0, i], 4.0),
     "truncation-gap-start": lambda m, rw, i: terminal_truncation_gap(
         m, rw, [2], i, [4.0], [0.1]),
     "stopped-potential-start": lambda m, rw, i: stopped_potential_exact(
-        m, rw.f, stationary_distribution(m), np.zeros(5), [2], 3, i),
+        m, rw.f, np.zeros(5), [2], 3, i),
     "dynkin-start": lambda m, rw, i: verify_dynkin_identity(
-        m, zero_potential(m, rw.f, stationary_distribution(m)), rw.f,
-        stationary_distribution(m), [2], 0, i, 100, 1),
-    "compactify-center": lambda m, rw, i: compactify_running_reward(
-        m, rw.f, stationary_distribution(m), center=i),
+        m, zero_potential(m, rw.f), rw.f, [2], 0, i, 100, 1),
+    "compactify-center": lambda m, rw, i: compactify_running_reward(m, rw.f, center=i),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from functools import partial
 
@@ -6,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_B_F
+from conftest import CHAIN_A_F, CHAIN_A_G, CHAIN_B_F, CHAIN_B_G, CHAIN_B_KERNEL
 from ergostop import (
-    Distribution,
     RewardSpec,
     build_dtmc,
     estimate_functional,
     make_rewards,
     region_value,
     solve_infinite_horizon,
-    stationary_distribution,
     terminal_truncation_gap,
     verify_dynkin_identity,
     zero_potential,
 )
+from ergostop import cli, infinite_horizon, montecarlo
 from ergostop.errors import UnreachableRegion
 from ergostop.finite_horizon import _running_max_tail
 from ergostop.markov import residual_tol, surely_hits
@@ -50,7 +50,7 @@ def test_chain_a_functional_brackets_value(chain_a, chain_a_rewards):
 
 def test_unreachable_region_diverges_linearly():
     m = build_dtmc([0, 1], np.eye(2))
-    rw = make_rewards(m, [-1.0, -1.0], [0.0, 5.0], mu=Distribution(np.array([0.5, 0.5])))
+    rw = make_rewards(m, [-1.0, -1.0], [0.0, 5.0])
     est = estimate_functional(
         m, rw, [1], start=0, horizons=[4, 8, 16, 32], n_paths=50, seed=3,
     )
@@ -143,7 +143,7 @@ def test_terminal_gap_verdict_reads_the_largest_horizon_standard_error(chain_a):
 
 def test_terminal_gap_unreachable_region_raises():
     m = build_dtmc([0, 1], [[1.0, 0.0], [0.5, 0.5]])
-    rw = make_rewards(m, [-1.0, -1.0], [0.0, 0.0], mu=Distribution(np.array([1.0, 0.0])))
+    rw = make_rewards(m, [-1.0, -1.0], [0.0, 0.0])
     with pytest.raises(UnreachableRegion):
         terminal_truncation_gap(m, rw, [1], start=0, horizons=[4], std_errors=[0.1])
 
@@ -156,6 +156,37 @@ def test_terminal_gap_region_passed_through_is_hit():
     assert rep.verdict == "PASS"
     assert rep.gaps.tolist() == [1.0, 0.0, 0.0]
     np.testing.assert_array_equal(rep.gminus_terms, 0.0)
+
+
+@pytest.fixture
+def graph_searches(monkeypatch):
+    """Count the calls of ``surely_hits`` from both modules that search."""
+    calls = []
+
+    def counted(kernel, region):
+        calls.append(1)
+        return surely_hits(kernel, region)
+
+    for module in (montecarlo, infinite_horizon):
+        monkeypatch.setattr(module, "surely_hits", counted)
+    return calls
+
+
+def test_terminal_gap_searches_the_graph_once(graph_searches, chain_b, chain_b_rewards):
+    terminal_truncation_gap(chain_b, chain_b_rewards, [0], 4, [4, 8], [0.1, 0.1])
+    assert len(graph_searches) == 1
+
+
+def test_simulate_command_searches_the_graph_twice(graph_searches, tmp_path):
+    # once before sampling, to refuse a missed region, and once in the gap
+    path = tmp_path / "chain_b.json"
+    path.write_text(json.dumps({
+        "states": list(range(5)), "kernel": CHAIN_B_KERNEL, "dt": 1.0,
+        "f": CHAIN_B_F.tolist(), "g": CHAIN_B_G.tolist(),
+    }))
+    assert cli.run(["simulate", "--model", str(path), "--region", "0", "--start", "4",
+                    "--horizons", "4,8", "--paths", "50", "--out", str(tmp_path / "out")]) == 0
+    assert len(graph_searches) == 2
 
 
 def test_terminal_gap_needs_one_standard_error_per_horizon(chain_a, chain_a_rewards):
@@ -321,9 +352,8 @@ def test_golden_functional_chain_a(chain_a, chain_a_rewards):
 
 def test_golden_dynkin_past_one_block(chain_b):
     # from state 4 some paths are still out of region {0} after 64 steps
-    mu = stationary_distribution(chain_b)
-    zp = zero_potential(chain_b, CHAIN_B_F, mu)
-    rep = verify_dynkin_identity(chain_b, zp, CHAIN_B_F, mu, [0], 100, 4, 30, 5)
+    zp = zero_potential(chain_b, CHAIN_B_F)
+    rep = verify_dynkin_identity(chain_b, zp, CHAIN_B_F, [0], 100, 4, 30, 5)
     assert rep.estimate == -17.033333333333335
     assert rep.std_error == 7.579385735177052
     assert rep.z_score == 1.9746543043988576

@@ -51,7 +51,7 @@ def _thresholds(g_abs):
 def _check_against_oracle(P, g, T):
     n = len(g)
     model = build_dtmc(list(range(n)), P)
-    rewards = RewardSpec(f=np.zeros(n), g=np.asarray(g, dtype=float), mu_f=0.0)
+    rewards = RewardSpec(f=np.zeros(n), g=np.asarray(g, dtype=float))
     g_abs = np.abs(rewards.g)
     thresholds = _thresholds(g_abs)
     ref = np.array(
@@ -96,7 +96,7 @@ def test_b_family_matches_augmented_chain():
         coords = rng.integers(-3, 4, size=(n, int(rng.integers(1, 3)))).astype(float)
         model = build_dtmc(list(range(n)), P, coords=coords.tolist())
         g = _random_g(rng, n)
-        rewards = RewardSpec(f=np.zeros(n), g=g, mu_f=0.0)
+        rewards = RewardSpec(f=np.zeros(n), g=g)
         T = int(rng.integers(0, 8))
         order = rng.permutation(n)
         cuts = np.sort(rng.choice(np.arange(1, n + 1), int(rng.integers(1, 4))))

@@ -20,7 +20,6 @@ from ergostop import (
     make_rewards,
     solve_finite_horizon,
     solve_infinite_horizon,
-    stationary_distribution,
     zero_potential,
 )
 
@@ -47,10 +46,10 @@ def dense(n, seed):
     return model, rewards.f, rewards.g
 
 
-def _outputs(model, f, g, k, mu):
-    rewards = make_rewards(model, np.ldexp(f, k), np.ldexp(g, k), mu)
+def _outputs(model, f, g, k):
+    rewards = make_rewards(model, np.ldexp(f, k), np.ldexp(g, k))
     sol = solve_infinite_horizon(model, rewards)
-    q = zero_potential(model, rewards.f, mu).q
+    q = zero_potential(model, rewards.f).q
     fh = solve_finite_horizon(model, rewards, 64)
     ok = check_supermartingale(model, rewards, fh).ok
     return sol, q, fh, ok
@@ -60,11 +59,10 @@ def _outputs(model, f, g, k, mu):
                          ids=["walk-200", "dense-200"])
 def test_outputs_scale_exactly_with_the_rewards(build):
     model, f, g = build()
-    mu = stationary_distribution(model)
-    sol, q, fh, ok = _outputs(model, f, g, 0, mu)
+    sol, q, fh, ok = _outputs(model, f, g, 0)
     assert sol.certified and ok
     for k in KS:
-        sol_k, q_k, fh_k, ok_k = _outputs(model, f, g, k, mu)
+        sol_k, q_k, fh_k, ok_k = _outputs(model, f, g, k)
         np.testing.assert_array_equal(sol_k.w, np.ldexp(sol.w, k), err_msg=f"w, k={k}")
         np.testing.assert_array_equal(sol_k.gamma, np.ldexp(sol.gamma, k), err_msg=f"k={k}")
         np.testing.assert_array_equal(sol_k.region, sol.region, err_msg=f"region, k={k}")
@@ -97,9 +95,8 @@ def small_problems(draw):
 @given(small_problems())
 def test_small_chains_scale_exactly_and_match_the_oracle(problem):
     model, f, g, k = problem
-    mu = stationary_distribution(model)
-    base = make_rewards(model, f, g, mu)
-    scaled = make_rewards(model, np.ldexp(f, k), np.ldexp(g, k), mu)
+    base = make_rewards(model, f, g)
+    scaled = make_rewards(model, np.ldexp(f, k), np.ldexp(g, k))
     sol = solve_infinite_horizon(model, base)
     sol_k = solve_infinite_horizon(model, scaled)
     np.testing.assert_array_equal(sol_k.w, np.ldexp(sol.w, k))

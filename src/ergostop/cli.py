@@ -14,7 +14,6 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -69,13 +68,6 @@ class RunManifest:
     version: str
     started_utc: str
     duration_s: float
-
-
-def _digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def _parse_indices(text: str, model) -> list[int]:
@@ -195,14 +187,16 @@ def run(argv) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:
-        results, seed = _dispatch(args)
-        results["manifest"] = _manifest(args, seed, started, t0)
+        # every verdict is raised past the load, which refuses with input errors
+        mf = load_model_file(args.model, dt_override=args.dt)
+        results, seed = _dispatch(args, mf)
+        results["manifest"] = _manifest(args, mf, seed, started, t0)
         paths = emit_report(results, args.out, args.format)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not malformed input
         failure = NumericalFailure(f"linear solve failed: {exc}")
-        return _verdict(args, failure, started, t0)
+        return _verdict(args, mf, failure, started, t0)
     except (MathVerdictError, NumericalFailure) as exc:
-        return _verdict(args, exc, started, t0)
+        return _verdict(args, mf, exc, started, t0)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -217,11 +211,11 @@ def run(argv) -> int:
     return 0
 
 
-def _manifest(args, seed, started, t0) -> dict:
+def _manifest(args, mf, seed, started, t0) -> dict:
     return asdict(RunManifest(
         command=args.command,
         config={k: v for k, v in vars(args).items() if k != "command"},
-        model_digest=_digest(args.model),
+        model_digest=mf.digest,
         master_seed=seed,
         version=__version__,
         started_utc=started,
@@ -229,7 +223,7 @@ def _manifest(args, seed, started, t0) -> dict:
     ))
 
 
-def _verdict(args, exc, started, t0) -> int:
+def _verdict(args, mf, exc, started, t0) -> int:
     """Write ``verdict.json`` and return the exit code: 3 for a numerical
     failure, 2 for a mathematical verdict. A failed write only warns."""
     record = {
@@ -238,7 +232,7 @@ def _verdict(args, exc, started, t0) -> int:
         "command": args.command,
     }
     try:
-        manifest = _manifest(args, getattr(args, "seed", None), started, t0)
+        manifest = _manifest(args, mf, getattr(args, "seed", None), started, t0)
         emit_report({"verdict": record, "manifest": manifest}, args.out, "json")
     except (OSError, IoError) as err:
         print(f"warning: verdict.json not written: {err}", file=sys.stderr)
@@ -246,8 +240,7 @@ def _verdict(args, exc, started, t0) -> int:
     return 3 if isinstance(exc, NumericalFailure) else 2
 
 
-def _dispatch(args):
-    mf = load_model_file(args.model, dt_override=args.dt)
+def _dispatch(args, mf):
     model = mf.model
     names = np.array(model.states, dtype=object)  # not coerced: mixed names keep types
     if args.command == "solve":

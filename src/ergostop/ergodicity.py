@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import NoMixingDetected, NumericalFailure, SingularSystem
 from .markov import (
+    GATHER_CHUNK,
     MarkovModel,
     grid_steps,
-    kernel_product,
     per_state,
+    pushed_laws,
     region_mask,
     residual_tol,
     state_index,
@@ -85,10 +86,15 @@ def tv_distance_curve(model: MarkovModel, probe_states, max_time: float) -> Ergo
     """Exact TV distances ||P_t(x, .) - mu|| at grid times t = dt, ..., max_time,
     mu the model's invariant law.
 
-    Computed by pushing each probe's law forward one ``kernel_product`` at a
-    time, no sampling. No monotonicity is asserted: TV curves of
-    periodic-ish chains can oscillate. An empty ``probe_states`` raises
-    ValueError.
+    Computed by pushing each probe's law forward one kernel step at a time
+    by ``pushed_laws``, no sampling. On a kernel that ``Supports.gather``
+    gathers over, the probes run a block of ``kernel_product``'s row chunk
+    at a time, and while S, the states a block's laws can occupy, is short
+    of the chain, the laws and mu come lumped onto S and the states off S:
+    the distance is the sum over S of |P_t(x, y) - mu(y)| plus the mass of
+    mu off S, and a step costs block x |S|, not block x n. No monotonicity
+    is asserted: TV curves of periodic-ish chains can oscillate. An empty
+    ``probe_states`` raises ValueError.
     """
     steps = int(grid_steps(max_time, model.dt))
     if steps < 1:
@@ -96,15 +102,14 @@ def tv_distance_curve(model: MarkovModel, probe_states, max_time: float) -> Ergo
     probes = np.array([state_index(model, p, "probe") for p in probe_states], dtype=int)
     if not len(probes):
         raise ValueError("probe_states must name at least one state")
-    rows = np.zeros((len(probes), model.n_states))
-    rows[np.arange(len(probes)), probes] = 1.0
-    mu = model.invariant.weights
     tv = np.empty((len(probes), steps))
-    for k in range(steps):
-        rows = kernel_product(model, rows, forward=True)
-        gap = rows - mu[None, :]
-        tv[:, k] = np.abs(gap, out=gap).sum(axis=1)
-        del gap   # free before the next product
+    block = (max(1, GATHER_CHUNK // model.n_states) if model.supports.gather
+             else len(probes))
+    for r in range(0, len(probes), block):
+        for k, (laws, mu) in enumerate(pushed_laws(model, probes[r:r + block], steps)):
+            gap = laws - mu
+            tv[r:r + block, k] = np.abs(gap, out=gap).sum(axis=1)
+            del gap, laws   # free before the next step (and the block's buffers after it)
     times = model.dt * np.arange(1, steps + 1)
     return ErgodicProfile(probe_states=probes, times=times, tv=tv)
 

@@ -8,7 +8,8 @@ exactly where the entry (i, j) is nonzero. Each model caches what is read
 from its kernel: its recurrent classes and period, its invariant law, and a
 support form (``Supports``: every state's nonzero successors and
 predecessors, padded to the widest), which the sampler steps on and through
-which ``kernel_product`` gathers the stacked products of narrow, large kernels.
+which ``kernel_product`` gathers the stacked products of narrow, large kernels
+(and ``pushed_laws`` those of laws held on the states they can occupy).
 """
 
 from __future__ import annotations
@@ -329,7 +330,8 @@ def stationary_distribution(model: MarkovModel) -> Distribution:
 # product's time at n = 100, 0.35x at n = 300 and 0.14x at n = 1000; the
 # two cross near widths of 4, 11 and 28.
 GATHER_RATIO = 32
-_GATHER_CHUNK = 1 << 15   # output entries per chunk of rows (256 KB): it stays in cache
+GATHER_CHUNK = 1 << 15   # output entries per chunk of rows (256 KB): it stays in cache;
+                         # the TV curve pushes its probes one such chunk of rows at a time
 
 
 def _padded_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,14 +400,16 @@ def kernel_product(model: MarkovModel, stack: np.ndarray, forward: bool) -> np.n
     no BLAS call, so it has one rounding whatever the BLAS build or the
     stack's shape, a few ulp from the dense product's. Forward, ``einsum``
     gathers rows of the stack over the predecessors and loops over rows,
-    then slots, then the n >= ``GATHER_RATIO`` contiguous entries.
-    Backward, each slot adds its weighted successor rows in turn. Both run
-    in chunks of rows of at most ``_GATHER_CHUNK`` output entries.
+    then slots, then the n >= ``GATHER_RATIO`` contiguous entries;
+    ``pushed_laws`` runs the same gather over the states that laws can
+    occupy alone, to the same bytes. Backward, each slot adds its weighted
+    successor rows in turn. Both run in chunks of rows of at most
+    ``GATHER_CHUNK`` output entries.
     """
     sup = model.supports
     if not sup.gather:
         return stack @ model.kernel if forward else model.kernel @ stack
-    step = max(1, _GATHER_CHUNK // max(1, stack.shape[1]))
+    step = max(1, GATHER_CHUNK // max(1, stack.shape[1]))
     if forward:
         idx, prob = sup.predecessors
         out = np.empty(stack.shape)
@@ -421,6 +425,85 @@ def kernel_product(model: MarkovModel, stack: np.ndarray, forward: bool) -> np.n
             term *= p[:, None]
             part += term
     return out
+
+
+def pushed_laws(model: MarkovModel, starts: np.ndarray, steps: int):
+    """Yield, after each step k = 1, ..., ``steps``, the laws P^k(x, .) of
+    the chain from each state x of ``starts``, one row each, beside the
+    invariant law, both over the same columns.
+
+    While S, the states the laws can occupy (at first ``starts``, then the
+    successors of S), is short of the chain and the kernel gathers, the
+    columns are the states of S, in order, and one more that lumps every
+    state off S: there the laws hold an exact zero and the invariant law
+    its mass off S. Each law entry is the sum that ``kernel_product``
+    gathers for the whole row, over the same predecessor slots in the same
+    order, so it has the same bytes, and a step costs b x |S| rather than
+    b x n. These laws are views of two buffers allocated once, which the
+    next steps overwrite: arrays that grow with S, fresh each step, would
+    each be mapped from the system anew. Once S covers the chain, and on a
+    dense kernel from the start, the columns are the chain's states and
+    each step is one ``kernel_product`` of the whole rows.
+    """
+    n = model.n_states
+    states = np.unique(starts)
+    laws = np.zeros((len(starts), len(states) + 1))
+    laws[np.arange(len(starts)), np.searchsorted(states, starts)] = 1.0
+    k = 0
+    if model.supports.gather and len(states) < n:
+        k, laws, states = yield from _pushed_on_support(model, laws, states, steps)
+    if k == steps:
+        return
+    rows = np.zeros((len(starts), n))
+    rows[:, states] = laws[:, :-1]
+    del laws   # the last view of the support steps' buffers
+    for _ in range(k, steps):
+        rows = kernel_product(model, rows, forward=True)
+        yield rows, model.invariant.weights
+
+
+def _pushed_on_support(model: MarkovModel, laws: np.ndarray, states: np.ndarray, steps: int):
+    """The steps of ``pushed_laws`` held on S, until ``steps`` are done or
+    S covers the chain; returns the steps done and the last laws and S."""
+    sup = model.supports
+    n = model.n_states
+    mu = model.invariant.weights
+    b = len(laws)
+    # a pseudo-state n, each slot of which reads the lumped column at weight
+    # 0.0, gives that column its exact zero, and keeps the output from being
+    # a lone column, whose slots einsum sums in another order
+    idx, prob = sup.predecessors
+    idx = np.hstack([idx, np.full((len(idx), 1), n)])
+    prob = np.hstack([prob, np.zeros((len(prob), 1))])
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[n] = True
+    column = np.empty(n + 1, dtype=int)
+    lumped = np.append(mu, 0.0)
+    buffers = np.empty((2, b * (n + 1)))
+    gathered = np.empty(len(idx) * b * (n + 1))
+    k = 0
+    while k < steps and len(states) < n:
+        reached[:n] = False
+        reached[sup.successors[0][:, states]] = True
+        cols = np.flatnonzero(reached)   # S after the step, then n
+        column.fill(len(states))
+        column[states] = np.arange(len(states))
+        # take, as [:, cols] lays its result out column-major, over which
+        # einsum runs several times slower; "clip" writes to ``out``
+        # unbuffered, and every index is in range
+        shape = (b, len(idx), len(cols))
+        laws = np.einsum(
+            "pwn,wn->pn",
+            laws.take(column[idx.take(cols, axis=1)], axis=1, mode="clip",
+                      out=gathered[:math.prod(shape)].reshape(shape)),
+            prob.take(cols, axis=1),
+            out=buffers[k % 2, :b * len(cols)].reshape(b, len(cols)),
+        )
+        states = cols[:-1]
+        lumped[n] = mu.sum(where=~reached[:n])
+        yield laws, lumped[cols]
+        k += 1
+    return k, laws, states
 
 
 def taboo_sweep(

@@ -13,6 +13,8 @@ a literal too large for a float, such as ``1e999``.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ class ModelFile:
     model: MarkovModel
     f: np.ndarray | None
     g: np.ndarray | None
+    digest: str   # SHA-256 of the bytes parsed, hex
 
 
 def _numeric(value) -> bool:
@@ -46,17 +49,25 @@ def _numeric(value) -> bool:
 
 
 def load_model_file(path, dt_override: float | None = None) -> ModelFile:
-    """Parse and validate a model file; dt_override only applies to
-    generator models, where the discretization step is a free choice."""
+    """Parse and validate a model file, read once: its digest is that of
+    the bytes parsed. dt_override only applies to generator models, where
+    the discretization step is a free choice."""
 
     def refuse(token):
         raise ParseError(f"{path}: {token} is not a JSON number")
 
     try:
-        with open(path) as fh:
-            raw = json.load(fh, parse_constant=refuse)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    # the bytes read as a text file reads them: UTF-8 (invalid bytes are a
+    # UnicodeDecodeError, a ValueError) with universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    del data   # not held while the parse builds its lists
+    try:
+        raw = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -116,4 +127,4 @@ def load_model_file(path, dt_override: float | None = None) -> ModelFile:
         raise
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return ModelFile(model=model, f=vector("f"), g=vector("g"))
+    return ModelFile(model=model, f=vector("f"), g=vector("g"), digest=digest)

@@ -6,7 +6,9 @@ is ``argmax_functional``, the whole-path readout of the Monte Carlo samples,
 kept as the reference for ``montecarlo._sample_hitting_rule``. So are
 ``dense_tv_curve`` and ``dense_taboo_sweep``, the dense ``@`` loops that
 ``markov.kernel_product`` replaced in the TV curve and ``markov.taboo_sweep``. So
-is ``full_system_region_values``, the full-size batched formulation that the
+is ``whole_stack_tv_curve``, the loop that pushed every probe's whole row by
+``kernel_product``, which the TV curve's probe blocks held on their reachable
+states replaced. So is ``full_system_region_values``, the full-size batched formulation that the
 region oracle's reduced continuation-set systems replaced.
 ``simulate_table`` is no oracle at all: it collects the state table of
 ``markov.simulate_block`` for the engine tests.
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from ergostop.markov import residual_tol, simulate_block, surely_hits
+from ergostop.markov import kernel_product, residual_tol, simulate_block, surely_hits
 
 
 def path_stream(seed: int, path_index: int) -> np.random.Generator:
@@ -71,6 +73,21 @@ def dense_tv_curve(kernel, mu_weights, probes, steps):
     for k in range(steps):
         rows = rows @ kernel
         tv[:, k] = np.abs(rows - mu_weights[None, :]).sum(axis=1)
+    return tv
+
+
+def whole_stack_tv_curve(model, probes, steps):
+    """TV distances of ``dense_tv_curve``, every probe's whole row pushed at
+    once by ``kernel_product``: the reference for
+    ``ergodicity.tv_distance_curve`` on kernels that gather."""
+    rows = np.zeros((len(probes), model.n_states))
+    rows[np.arange(len(probes)), probes] = 1.0
+    mu = model.invariant.weights
+    tv = np.empty((len(probes), steps))
+    for k in range(steps):
+        rows = kernel_product(model, rows, forward=True)
+        gap = rows - mu[None, :]
+        tv[:, k] = np.abs(gap, out=gap).sum(axis=1)
     return tv
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -215,6 +216,55 @@ def test_ragged_reward_field_is_a_parse_error(tmp_path, capsys):
     assert run(["solve-infinite", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "ParseError" in err and str(path) in err and "'f'" in err
+
+
+@pytest.mark.parametrize("change", ["edit", "remove"])
+@pytest.mark.parametrize("f, code", [(None, 0), ([1.0, 1.0], 2)])
+def test_manifest_digest_is_that_of_the_bytes_parsed(tmp_path, monkeypatch, change, f, code):
+    # the model file edited or removed once the command has read it: the run
+    # ends as it would have, certified or with a verdict, and its manifest
+    # records the digest of the bytes that were parsed
+    model = write_chain_a(tmp_path, f=f)
+    parsed = hashlib.sha256(Path(model).read_bytes()).hexdigest()
+    dispatch = cli._dispatch
+
+    def then_change(args, mf):
+        if change == "edit":
+            Path(model).write_text(Path(model).read_text().replace("0.5", "0.25"))
+        else:
+            os.remove(model)
+        return dispatch(args, mf)
+
+    monkeypatch.setattr(cli, "_dispatch", then_change)
+    out = tmp_path / "out"
+    assert run(["solve-infinite", "--model", model, "--out", str(out)]) == code
+    assert read_json(out / "manifest.json")["model_digest"] == parsed
+
+
+def test_a_command_opens_its_model_file_once(tmp_path, monkeypatch):
+    model = write_chain_a(tmp_path)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run(["solve-infinite", "--model", model, "--out", str(tmp_path / "out")]) == 0
+    assert opened.count(model) == 1
+
+
+def test_model_file_bytes_read_as_utf8_text_with_universal_newlines(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"states": ["\xff"]}')
+    assert run(["solve", "--model", str(path), "--horizon", "1",
+                "--out", str(tmp_path / "out")]) == 1
+    assert "utf-8" in capsys.readouterr().err
+    # a lone carriage return ends a line, as in a file opened as text
+    path.write_bytes(b'{\r"states": ["0"],\r"kernel": [[1.0]],\r"dt": x}')
+    with pytest.raises(ParseError, match="line 4"):
+        load_model_file(str(path))
 
 
 def test_solve_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The support gather of ``markov.kernel_product`` against the dense product,
-and its two consumers, the TV curve and the taboo sweep."""
+the laws ``markov.pushed_laws`` holds on the states they can occupy, and
+their consumers, the TV curve and the taboo sweep."""
 
 import tracemalloc
 
@@ -16,12 +17,14 @@ from ergostop import (
 from ergostop import finite_horizon
 from ergostop.errors import NotIrreducible
 from ergostop.markov import (
+    GATHER_CHUNK,
     Supports,
     kernel_product,
     residual_tol,
+    pushed_laws,
     taboo_sweep,
 )
-from oracles import dense_taboo_sweep, dense_tv_curve
+from oracles import dense_taboo_sweep, dense_tv_curve, whole_stack_tv_curve
 
 
 def _walk(n):
@@ -102,7 +105,7 @@ def test_gather_chunks_give_the_unchunked_sums(monkeypatch):
     model = _gathering(_walk(50))
     rows, cols = np.random.default_rng(42).random((2, 70, 50))
     whole = kernel_product(model, rows, True), kernel_product(model, cols.T, False)
-    monkeypatch.setattr(markov, "_GATHER_CHUNK", 1)
+    monkeypatch.setattr(markov, "GATHER_CHUNK", 1)
     assert np.array_equal(kernel_product(model, rows, True), whole[0])
     assert np.array_equal(kernel_product(model, cols.T, False), whole[1])
 
@@ -193,16 +196,124 @@ def _peak(curve, *args):
 
 
 def test_gathered_tv_curve_peak_memory_stays_within_the_dense_loop():
-    # every state a probe: the (p, n) laws are 8 MB, and the gather's chunked
-    # temporary must not push the peak past that of the dense loop
+    # every state a probe: the (p, n) laws are 8 MB, pushed one block of
+    # GATHER_CHUNK entries (256 KB) at a time; the peak holds the (p, T) curve
+    # and a few block-sized temporaries, the gather's w = 3 slots among them
     n = 1000
     model = _walk(n)
-    mu = model.invariant  # solved before the peak is traced
     probes = np.arange(n)
+    tv_distance_curve(model, probes, 4.0)  # supports, law and lazy imports settled
     gathered = _peak(tv_distance_curve, model, probes, 4.0)
-    dense = _peak(dense_tv_curve, model.kernel, mu.weights, probes, 4)
-    assert gathered <= dense
-    assert gathered <= 2.5 * n * n * 8
+    dense = _peak(dense_tv_curve, model.kernel, model.invariant.weights, probes, 4)
+    assert gathered <= n * 4 * 8 + 8 * GATHER_CHUNK * 8
+    assert 8 * gathered <= dense
+
+
+def _ulps(a, b):
+    """Largest distance in units in the last place between two arrays of
+    non-negative floats."""
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64)), initial=0))
+
+
+def test_blocked_tv_curve_matches_the_whole_stack_loop_on_walks():
+    # T below n / 2, where S never covers a middle block's chain, and above,
+    # where S fills mid-run and the block goes on with whole rows
+    rng = np.random.default_rng(48)
+    for n in (96, 97, 150, 300, 1000):
+        model = _walk(n)
+        probes = np.arange(n) if n <= 300 else np.sort(rng.choice(n, 60, replace=False))
+        for steps in (n // 4, n // 2 + 8):
+            got = tv_distance_curve(model, probes, float(steps)).tv
+            assert _ulps(got, whole_stack_tv_curve(model, probes, steps)) <= 8
+
+
+def test_blocked_tv_curve_takes_partial_scrambled_and_duplicate_probes():
+    model = _walk(300)
+    rng = np.random.default_rng(49)
+    for probes in (rng.permutation(300), rng.choice(300, 150, replace=False),
+                   rng.choice(300, 400), [5, 5, 299, 0, 5], [17]):
+        probes = np.asarray(probes)
+        got = tv_distance_curve(model, probes, 80.0).tv
+        assert _ulps(got, whole_stack_tv_curve(model, probes, 80)) <= 8
+
+
+def test_blocked_tv_curve_on_chains_whose_reachable_set_moves():
+    # a rotation moves S without growing it (a lone probe's S is one state);
+    # one of +1 or +2 moves it and grows it by one state a step
+    n = 128
+    rotate = np.roll(np.eye(n), 1, axis=1)
+    for kernel, width in ((rotate, 1), ((rotate + np.roll(np.eye(n), 2, axis=1)) / 2, 2)):
+        model = build_dtmc(range(n), kernel)
+        assert model.supports.gather
+        for probes in ([3], [3, 40], np.arange(0, n, 5)):
+            got = tv_distance_curve(model, probes, 100.0).tv
+            assert _ulps(got, whole_stack_tv_curve(model, probes, 100)) <= 8
+        for k, (laws, _) in enumerate(pushed_laws(model, np.array([3]), 20), 1):
+            assert laws.shape == (1, (width - 1) * k + 2)
+
+
+def test_blocked_tv_curve_when_the_smallest_probabilities_underflow():
+    # the lazy walk with jumps of two at 1e-160: two jumps leave a
+    # subnormal mass, three an exact zero inside S
+    n = 200
+    P = _walk(n).kernel * (1.0 - 2e-160)
+    for x in range(n):
+        P[x, max(x - 2, 0)] += 1e-160
+        P[x, min(x + 2, n - 1)] += 1e-160
+    model = build_dtmc(range(n), P)
+    assert model.supports.gather
+    probes = np.arange(0, n, 3)
+    got = tv_distance_curve(model, probes, 12.0).tv
+    assert _ulps(got, whole_stack_tv_curve(model, probes, 12)) <= 8
+
+
+def test_blocked_tv_curve_across_block_boundaries():
+    n = 300
+    model = _walk(n)
+    block = GATHER_CHUNK // n
+    reference = whole_stack_tv_curve(model, np.arange(n), 70)
+    for count in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
+        probes = np.arange(count)
+        got = tv_distance_curve(model, probes, 70.0).tv
+        assert _ulps(got, reference[:count]) <= 8
+
+
+def test_tv_curve_keeps_the_whole_stack_bytes_where_S_starts_as_the_chain():
+    # every probe of walk-100, one block of 327 rows, scrambled and doubled
+    # (a dense kernel keeps them whatever the probes: see
+    # test_dense_path_is_byte_identical_to_the_dense_loops)
+    model = _walk(100)
+    rng = np.random.default_rng(50)
+    for probes in (np.arange(100), rng.permutation(100),
+                   np.concatenate([rng.permutation(100), [4, 4]])):
+        assert np.array_equal(tv_distance_curve(model, probes, 32.0).tv,
+                              whole_stack_tv_curve(model, probes, 32))
+
+
+def test_pushed_laws_give_the_whole_rows_bytes_on_the_reachable_states():
+    # S_k computed here from the kernel's nonzeros; the lumped column holds
+    # an exact zero, and mu there its mass off S_k
+    rng = np.random.default_rng(51)
+    for _ in range(80):
+        n = int(rng.integers(2, 300))
+        cycled = (_sparse_chain(rng, n).kernel + np.roll(np.eye(n), 1, axis=1)) / 2
+        model = _gathering(build_dtmc(range(n), cycled))
+        probes = rng.choice(n, size=int(rng.integers(1, 20)))
+        reach = np.isin(np.arange(n), probes)
+        rows = np.eye(n)[probes]
+        for laws, mu in pushed_laws(model, probes, 10):
+            reach = (model.kernel[reach] != 0).any(axis=0)
+            rows = kernel_product(model, rows, forward=True)
+            assert not rows[:, ~reach].any()
+            if laws.shape[1] == reach.sum() + 1:  # held on S_k
+                assert np.array_equal(laws[:, :-1], rows[:, reach])
+                assert np.all(laws[:, -1] == 0.0)
+                assert np.array_equal(mu[:-1], model.invariant.weights[reach])
+                off = model.invariant.weights[~reach].sum()
+                assert mu[-1] == pytest.approx(off, rel=1e-15, abs=0)
+            else:   # whole rows once S_k covers the chain
+                assert reach.all()
+                assert np.array_equal(laws, rows)
 
 
 def test_gather_takes_empty_stacks():
@@ -225,3 +336,23 @@ def test_a_swept_column_keeps_its_bytes_in_a_stack_only_on_the_gather_path():
                 assert np.array_equal(alone[:, 0], stack[:, j])
             else:
                 assert np.max(np.abs(alone[:, 0] - stack[:, j])) <= residual_tol(stack[:, j])
+
+
+def test_pushed_laws_keep_the_slot_order_where_S_narrows_to_one_state():
+    # the last state feeds states 0, 1 and 2, which all feed state 3: from
+    # the last state, S narrows to one state whose three slots carry mass
+    # (einsum, left to a lone output column, sums them in another order)
+    n = 128
+    rng = np.random.default_rng(52)
+    for _ in range(50):
+        P = np.roll(np.eye(n), 1, axis=1)
+        P[n - 1] = 0.0
+        P[n - 1, :3] = rng.random(3) + 0.1
+        P[:3] = 0.0
+        P[:3, 3] = 1.0
+        model = build_dtmc(range(n), P / P.sum(axis=1, keepdims=True))
+        assert model.supports.gather
+        rows = np.eye(n)[[n - 1]]
+        for laws, _ in pushed_laws(model, np.array([n - 1]), 2):
+            rows = kernel_product(model, rows, forward=True)
+        assert laws.shape == (1, 2) and laws[0, 0] == rows[0, 3]
